@@ -1,26 +1,23 @@
-//! Batched-sweep throughput benchmark: cells/second on a 1000-cell
-//! same-system matrix, per-cell vs batched (`SweepOptions::batch`),
-//! plus a harness that writes `BENCH_sweep_batch.json` — the repo's
-//! perf-trajectory baseline for lane-grouped multi-sim execution.
-//! Re-run after engine/runner changes and commit the refreshed JSON:
+//! Windowed-sweep throughput benchmark: cells/second on a 1000-cell
+//! batch of same-system cells, plus a harness that writes
+//! `BENCH_sweep_batch.json` — the repo's perf-trajectory baseline for
+//! the sweep's cell pipeline. Re-run after engine/runner changes and
+//! commit the refreshed JSON:
 //!
 //! ```sh
 //! cargo bench -p sraps-bench --bench sweep_batch
 //! ```
 //!
-//! The matrix is the batched path's home turf and a realistic study
-//! shape: one hundred 1-hour windows marching through one shared
-//! 60-day trace (windowed replay of recorded segments — the paper's
-//! telemetry datasets span months), crossed with a 10-way policy ×
-//! backfill grid, one lane group per window. Per-cell execution
-//! rebuilds the window — scan the full trace and clone the in-window
-//! jobs — a thousand times; batched execution builds it once per lane
-//! group and shares it across ten engines, so per-cell cost collapses
-//! to the window's own simulation. Conservative backfill and power
-//! caps are deliberately absent from the grid: both are per-lane
-//! policy work (planner cost and cap-deferral scheduler churn,
-//! tracked by the scheduler micro-benches) that would drown the
-//! execution-path difference this bench isolates.
+//! The matrix is a realistic study shape: one hundred 1-hour windows
+//! marching through one shared 60-day trace (windowed replay of
+//! recorded segments — the paper's telemetry datasets span months),
+//! crossed with a 10-way policy × backfill grid. Each window is built
+//! once — scan the full trace, clone the in-window jobs — and shared by
+//! its ten cells, so per-cell cost is the window's own simulation.
+//! Conservative backfill and power caps are deliberately absent from
+//! the grid: both are per-cell policy work (planner cost and
+//! cap-deferral scheduler churn, tracked by the scheduler micro-benches)
+//! that would drown the execution-path cost this bench isolates.
 //!
 //! `SRAPS_BENCH_SMOKE=1` runs one sample per case (CI smoke);
 //! `SRAPS_BENCH_SWEEP_BATCH_OUT` overrides the JSON path (default
@@ -80,13 +77,8 @@ struct BenchReport {
     cells: usize,
     jobs: usize,
     samples: usize,
-    batch_max_lanes: usize,
-    percell_median_ms: f64,
-    batched_median_ms: f64,
-    percell_cells_per_sec: f64,
-    batched_cells_per_sec: f64,
-    /// batched / per-cell throughput.
-    speedup: f64,
+    median_ms: f64,
+    cells_per_sec: f64,
 }
 
 fn smoke() -> bool {
@@ -98,60 +90,43 @@ fn bench_sweep_batch(c: &mut Criterion) {
     let m = matrix();
     let cells = m.cell_count();
     let opts = SweepOptions::new().metrics_only(true);
-    let percell = SweepRunner::with_options(JOBS, opts.clone());
-    let batched = SweepRunner::with_options(JOBS, opts.batch(true));
+    let runner = SweepRunner::with_options(JOBS, opts.clone());
 
-    // Byte-parity drift guard: a faster sweep that changed any report
-    // byte would be measuring a different experiment. (Also warms the
-    // dataset materialization both timed paths share.)
-    let a = percell.run(&m).expect("per-cell sweep");
-    let b = batched.run(&m).expect("batched sweep");
+    // Byte-parity drift guard: parallel cells sharing each window must
+    // report exactly what one thread does. (Also warms the dataset
+    // materialization the timed runs share.)
+    let serial = SweepRunner::with_options(1, opts)
+        .run(&m)
+        .expect("serial sweep");
+    let parallel = runner.run(&m).expect("parallel sweep");
     assert_eq!(
-        Report::from_results(&a).to_csv(),
-        Report::from_results(&b).to_csv(),
-        "batched report CSV drifted from per-cell"
+        Report::from_results(&serial).to_csv(),
+        Report::from_results(&parallel).to_csv(),
+        "parallel report CSV drifted from serial"
     );
-    assert_eq!(
-        Report::from_results(&a).to_json(),
-        Report::from_results(&b).to_json(),
-        "batched report JSON drifted from per-cell"
-    );
-    drop((a, b));
+    drop((serial, parallel));
 
     let mut g = c.benchmark_group("sweep_batch");
     g.sample_size(samples.max(2));
-    g.bench_function("batched_1000_cells", |bch| {
-        bch.iter(|| criterion::black_box(batched.run(&m).unwrap()))
+    g.bench_function("sweep_1000_cells", |bch| {
+        bch.iter(|| criterion::black_box(runner.run(&m).unwrap()))
     });
     g.finish();
 
-    let percell_ms = median_ms(samples, || {
-        criterion::black_box(percell.run(&m).unwrap());
+    let median = median_ms(samples, || {
+        criterion::black_box(runner.run(&m).unwrap());
     });
-    let batched_ms = median_ms(samples, || {
-        criterion::black_box(batched.run(&m).unwrap());
-    });
-
     let report = BenchReport {
         bench: "sweep_batch".to_string(),
         cells,
         jobs: JOBS,
         samples,
-        batch_max_lanes: sraps_exp::DEFAULT_BATCH_MAX_LANES,
-        percell_median_ms: percell_ms,
-        batched_median_ms: batched_ms,
-        percell_cells_per_sec: cells as f64 / (percell_ms / 1e3).max(1e-9),
-        batched_cells_per_sec: cells as f64 / (batched_ms / 1e3).max(1e-9),
-        speedup: percell_ms / batched_ms.max(1e-9),
+        median_ms: median,
+        cells_per_sec: cells as f64 / (median / 1e3).max(1e-9),
     };
     println!(
-        "sweep_batch: {} cells  per-cell {:>8.1} ms ({:>7.0} cells/s)  batched {:>8.1} ms ({:>7.0} cells/s)  speedup {:.2}x",
-        report.cells,
-        report.percell_median_ms,
-        report.percell_cells_per_sec,
-        report.batched_median_ms,
-        report.batched_cells_per_sec,
-        report.speedup
+        "sweep_batch: {} cells  {:>8.1} ms ({:>7.0} cells/s)",
+        report.cells, report.median_ms, report.cells_per_sec
     );
     // Default to the workspace root so the committed baseline refreshes
     // in place regardless of cargo's bench working directory.

@@ -143,26 +143,6 @@ impl CoolingPlant {
             heat_kw: it_heat_kw,
         }
     }
-
-    /// Batch entry point: advance `ticks` ticks under a constant heat
-    /// load at the design ambient, appending one sample per tick to
-    /// `out`. Each tick goes through [`CoolingPlant::step`] unchanged —
-    /// the loop state still integrates tick by tick (the transient lag
-    /// is the point of the model), so the series is bit-identical to
-    /// calling `step` in a loop; only the dispatch is hoisted.
-    pub fn step_many(
-        &mut self,
-        dt: SimDuration,
-        it_heat_kw: f64,
-        it_plus_losses_kw: f64,
-        ticks: usize,
-        out: &mut Vec<CoolingSample>,
-    ) {
-        out.reserve(ticks);
-        for _ in 0..ticks {
-            out.push(self.step(dt, it_heat_kw, it_plus_losses_kw));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -201,23 +181,6 @@ mod tests {
         let low = run_steady(&mut p1, 10_000.0, 20_000);
         let high = run_steady(&mut p2, 24_000.0, 20_000);
         assert!(high.tower_return_c > low.tower_return_c + 0.5);
-    }
-
-    #[test]
-    fn step_many_equals_sequential_steps() {
-        let mut batched = plant();
-        let mut reference = plant();
-        let dt = SimDuration::seconds(15);
-        // Warm both plants off the setpoint first so the batch starts
-        // mid-transient, then compare the whole series and final state.
-        run_steady(&mut batched, 18_000.0, 50);
-        run_steady(&mut reference, 18_000.0, 50);
-        let mut series = Vec::new();
-        batched.step_many(dt, 12_000.0, 12_600.0, 200, &mut series);
-        for (k, s) in series.iter().enumerate() {
-            assert_eq!(*s, reference.step(dt, 12_000.0, 12_600.0), "tick {k}");
-        }
-        assert_eq!(batched.loop_temp_c(), reference.loop_temp_c());
     }
 
     #[test]

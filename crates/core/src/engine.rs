@@ -284,7 +284,7 @@ pub struct Engine {
     /// Ticks of the current decided span whose physics has not advanced
     /// yet — control (steps 1–3) already ran for them. Non-zero between
     /// a control step and the completion of its physics span, i.e. when
-    /// [`Engine::run_until`] or a batched chunk cut the span short.
+    /// [`Engine::run_until`] cut the span short.
     span_left: i64,
     scheduler: Box<dyn SchedulerBackend>,
     rm: ResourceManager,
@@ -344,11 +344,12 @@ pub struct Engine {
 /// window bounds and the classified in-window job set, shareable across
 /// every engine simulating the same (dataset, window) pair.
 ///
-/// [`Engine::new`] builds one privately; the batched sweep path builds
-/// one per lane group so K lanes stop re-cloning and re-sorting the same
-/// jobs (telemetry traces included). Both construction paths route
-/// through [`Engine::with_window`], so shared-window engines are
-/// identical to standalone ones by construction.
+/// [`Engine::new`] builds one privately; the sweep runner and the serve
+/// daemon build one per workload, so the cells of a workload stop
+/// re-cloning and re-sorting the same jobs (telemetry traces included).
+/// Both construction paths route through [`Engine::with_window`], so
+/// shared-window engines are identical to standalone ones by
+/// construction.
 pub struct SimWindow {
     sim_start: SimTime,
     sim_end: SimTime,
@@ -849,7 +850,7 @@ impl Engine {
     /// sample every active job's telemetry at this instant, sum busy
     /// power in active order, advance power/cooling, record histories.
     /// This is the reference implementation the parity suite validates
-    /// the batched core against; [`Engine::advance_physics`] produces
+    /// the event core against; [`Engine::advance_physics`] produces
     /// bit-identical output because constant traces sample to the same
     /// value at every offset and all accumulation orders match.
     fn tick_physics(&mut self, now: SimTime) {
@@ -953,15 +954,15 @@ impl Engine {
                             ));
                         }
                     }
-                    // Constant heat, design ambient: the plant's batch
-                    // entry point (same per-tick steps, hoisted dispatch).
-                    None => plant.step_many(
-                        dt,
-                        sample.it_power_kw,
-                        sample.total_kw,
-                        ticks,
-                        &mut self.cooling_hist,
-                    ),
+                    None => {
+                        for _ in 0..ticks {
+                            self.cooling_hist.push(plant.step(
+                                dt,
+                                sample.it_power_kw,
+                                sample.total_kw,
+                            ));
+                        }
+                    }
                 }
             }
             return;
@@ -1076,27 +1077,20 @@ impl Engine {
             a.ticks += ticks as u64;
         }
 
-        if self.cooling.is_none() {
-            // No plant in the loop: the power model's batch entry point
-            // maps the summed span directly (same per-element sample).
-            self.power_model
-                .sample_each(&span_busy, free, &mut self.power_hist);
-        } else {
-            for (k, &busy) in span_busy.iter().enumerate() {
-                let sample = self.power_model.sample(busy, free);
-                if let Some(plant) = &mut self.cooling {
-                    let now = from + SimDuration::seconds(dt_secs * k as i64);
-                    let reading = match &self.sim.wetbulb_trace {
-                        Some(trace) => {
-                            let ambient = trace.sample(now - self.sim_start) as f64;
-                            plant.step_at_ambient(dt, sample.it_power_kw, sample.total_kw, ambient)
-                        }
-                        None => plant.step(dt, sample.it_power_kw, sample.total_kw),
-                    };
-                    self.cooling_hist.push(reading);
-                }
-                self.power_hist.push(sample);
+        for (k, &busy) in span_busy.iter().enumerate() {
+            let sample = self.power_model.sample(busy, free);
+            if let Some(plant) = &mut self.cooling {
+                let now = from + SimDuration::seconds(dt_secs * k as i64);
+                let reading = match &self.sim.wetbulb_trace {
+                    Some(trace) => {
+                        let ambient = trace.sample(now - self.sim_start) as f64;
+                        plant.step_at_ambient(dt, sample.it_power_kw, sample.total_kw, ambient)
+                    }
+                    None => plant.step(dt, sample.it_power_kw, sample.total_kw),
+                };
+                self.cooling_hist.push(reading);
             }
+            self.power_hist.push(sample);
         }
         self.span_busy = span_busy;
     }
@@ -1143,10 +1137,8 @@ impl Engine {
     /// decision: completions, outage edges, eligibility, the scheduler
     /// invocation, and (in event mode) the event-horizon computation.
     /// Returns the decided span: how many ticks of physics are due
-    /// before control must run again. Tick mode always decides 1.
-    ///
-    /// Shared by [`Engine::run`] and [`BatchedEngine::run`]; the caller
-    /// owns advancing physics across the returned span.
+    /// before control must run again. Tick mode always decides 1. The
+    /// caller owns advancing physics across the returned span.
     fn step_control(&mut self, now: SimTime, remaining: i64) -> Result<i64> {
         {
             let _s = sraps_obs::span(ObsPhase::EngineEvents);
@@ -1214,8 +1206,7 @@ impl Engine {
         let run_capture = sraps_obs::capture();
         let run_watch = sraps_obs::stopwatch(ObsPhase::EngineRun);
         self.run_until(self.sim_end)?;
-        let now = self.now;
-        self.assemble(now, move || (run_watch.finish(), run_capture.finish()))
+        self.assemble(run_watch, run_capture)
     }
 
     /// Window start of this engine's run.
@@ -1236,7 +1227,7 @@ impl Engine {
     ///
     /// Pausing is invisible to the results: physics spans integrate tick
     /// by tick in tick order no matter how they are cut (the discipline
-    /// the batch-parity suite pins), and a span cut mid-way is remembered
+    /// the resume-parity suite pins), and a span cut mid-way is remembered
     /// in the cursor so control is not re-run at resume.
     pub fn run_until(&mut self, until: SimTime) -> Result<()> {
         let dt_secs = self.sim.system.tick.as_secs();
@@ -1444,23 +1435,20 @@ impl Engine {
         Ok(())
     }
 
-    /// Post-loop assembly shared by [`Engine::run`] and
-    /// [`BatchedEngine::run`]: final completion sweep, history time
-    /// grid, facility stats, and the scheduler-stats fold. `finish`
-    /// runs after the finalize-span work and supplies the run's wall
-    /// time and profile delta — the per-cell path closes its stopwatch
-    /// and capture there; batched lanes report the shared batch clock
-    /// and no per-lane profile.
+    /// Post-loop assembly for [`Engine::run`]: final completion sweep,
+    /// history time grid, facility stats, and the scheduler-stats fold.
+    /// The run's stopwatch and capture close after the finalize-span
+    /// work, so the output's wall time and profile cover all of it.
     fn assemble(
         mut self,
-        now: SimTime,
-        finish: impl FnOnce() -> (std::time::Duration, Option<sraps_obs::Profile>),
+        run_watch: sraps_obs::Stopwatch,
+        run_capture: sraps_obs::Capture,
     ) -> Result<SimOutput> {
         let dt = self.sim.system.tick;
         let dt_secs = dt.as_secs();
         let finalize = sraps_obs::span(ObsPhase::EngineFinalize);
         // Final sweep so jobs ending exactly at the boundary complete.
-        self.complete_jobs(now);
+        self.complete_jobs(self.now);
         // The tick grid the histories were sampled on.
         let total_ticks = self.power_hist.len();
         self.times.extend(
@@ -1501,7 +1489,8 @@ impl Engine {
             sched_stats.placement_fallbacks,
         );
         drop(finalize);
-        let (wall_time, profile) = finish();
+        let wall_time = run_watch.finish();
+        let profile = run_capture.finish();
         Ok(SimOutput {
             label,
             scheduler_name: self.scheduler.name(),
@@ -1565,112 +1554,6 @@ impl<'a> EngineBuilder<'a> {
                 Ok(engine)
             }
         }
-    }
-}
-
-/// K independent simulations stepped together.
-///
-/// Control (steps 1–3: completions, queues, scheduling) runs per lane
-/// at each lane's own event instants — lanes never see each other's
-/// state. Step-4 physics advances all lanes in shared chunks of
-/// `min(span_left)` ticks, one pass over the lane array per chunk under
-/// a single `physics.batched` span, with each lane's history arrays
-/// contiguous. Chunking is invisible to the results: within a lane,
-/// physics integrates tick by tick in tick order no matter how the span
-/// is cut (the repeated-addition discipline the engine parity suite
-/// pins), so outputs are bit-identical to running each engine alone —
-/// the `batch_parity` suite asserts exactly that.
-///
-/// Lanes share the batch's wall clock (each lane's
-/// [`SimOutput::wall_time`] measures from batch start to that lane's
-/// assembly) and carry no per-lane profile; the sweep runner captures
-/// one profile per lane group instead.
-pub struct BatchedEngine {
-    lanes: Vec<Engine>,
-}
-
-impl BatchedEngine {
-    /// Group `engines` into one batched run. Lanes must share the tick
-    /// grid and simulation window (the sweep runner's grouping by
-    /// workload guarantees it); anything else is a config error.
-    pub fn new(engines: Vec<Engine>) -> Result<BatchedEngine> {
-        let Some(first) = engines.first() else {
-            return Err(SrapsError::Config(
-                "batched run needs at least one lane".into(),
-            ));
-        };
-        let grid = (first.sim.system.tick, first.sim_start, first.sim_end);
-        if let Some(lane) = engines
-            .iter()
-            .find(|e| (e.sim.system.tick, e.sim_start, e.sim_end) != grid)
-        {
-            return Err(SrapsError::Config(format!(
-                "batched lanes must share the tick grid and window: \
-                 {}..{} at {}s vs {}..{} at {}s",
-                grid.1,
-                grid.2,
-                grid.0.as_secs(),
-                lane.sim_start,
-                lane.sim_end,
-                lane.sim.system.tick.as_secs(),
-            )));
-        }
-        Ok(BatchedEngine { lanes: engines })
-    }
-
-    /// Lanes in this batch.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Run every lane to the end of the window; outputs in lane order.
-    pub fn run(mut self) -> Result<Vec<SimOutput>> {
-        sraps_obs::bump(Counter::BatchLanes);
-        sraps_obs::add(Counter::BatchCells, self.lanes.len() as u64);
-        let batch_start = std::time::Instant::now();
-        loop {
-            // Control pass: every lane that exhausted its span decides
-            // the next one; the shared chunk is the smallest span any
-            // live lane still has open.
-            let mut chunk = i64::MAX;
-            for lane in &mut self.lanes {
-                if lane.remaining == 0 {
-                    continue;
-                }
-                if lane.span_left == 0 {
-                    lane.span_left = lane.step_control(lane.now, lane.remaining)?;
-                }
-                chunk = chunk.min(lane.span_left);
-            }
-            if chunk == i64::MAX {
-                break;
-            }
-            // Physics pass: advance every live lane by the chunk.
-            let _s = sraps_obs::span(ObsPhase::PhysicsBatched);
-            for lane in &mut self.lanes {
-                if lane.remaining == 0 {
-                    continue;
-                }
-                let dt_secs = lane.sim.system.tick.as_secs();
-                if lane.sim.engine == EngineMode::Event {
-                    lane.advance_physics(lane.now, chunk as usize);
-                } else {
-                    // Tick-mode lanes decide span 1, so the chunk is 1
-                    // whenever one is live; step exactly as `run` would.
-                    lane.tick_physics(lane.now);
-                }
-                lane.now += SimDuration::seconds(dt_secs * chunk);
-                lane.remaining -= chunk;
-                lane.span_left -= chunk;
-            }
-        }
-        self.lanes
-            .into_iter()
-            .map(|lane| {
-                let now = lane.now;
-                lane.assemble(now, || (batch_start.elapsed(), None))
-            })
-            .collect()
     }
 }
 

@@ -1,13 +1,13 @@
-//! Batched-vs-per-cell parity: a [`BatchedEngine`] interleaves K lanes'
-//! physics in shared chunks, and its entire claim is that the chunking
-//! is invisible — every lane's histories, outcomes, stats, and ledgers
-//! are **bit-identical** to running that lane's engine alone. This suite
-//! pins the claim across the policy × backfill grid, with outages,
+//! Shared-window parity: the sweep runs every cell of a workload — a
+//! batch of engines — over one [`SimWindow`], built once. Sharing must
+//! be invisible: every engine's histories, outcomes, stats, and ledgers
+//! are **bit-identical** to an engine that built its own window. This
+//! suite pins that across the policy × backfill grid, with outages,
 //! power caps, cooling, and traced telemetry in the mix, plus on random
-//! lane compositions via proptest.
+//! batch compositions via proptest.
 
 use proptest::prelude::*;
-use sraps_core::{BatchedEngine, Engine, EngineMode, Outage, SimConfig, SimOutput, SimWindow};
+use sraps_core::{Engine, EngineMode, Outage, SimConfig, SimOutput, SimWindow};
 use sraps_data::{adastra, lassen, marconi100, Dataset, WorkloadSpec};
 use sraps_systems::{presets, SystemConfig};
 use sraps_types::{NodeSet, SimDuration, SimTime};
@@ -54,22 +54,30 @@ fn workload(cfg: &SystemConfig, load: f64, hours: i64, seed: u64) -> Dataset {
     }
 }
 
-/// Run `sims` once per cell and once as a single batch over a shared
-/// window; every lane must match its solo twin exactly.
+/// Run `sims` once each over a window of its own, and once as a batch
+/// over one shared window, the engines advancing in interleaved
+/// hour-long slices as concurrent sweep cells would; every engine in
+/// the batch must match its solo twin exactly.
 fn assert_batch_matches_solo(sims: Vec<SimConfig>, ds: &Dataset, what: &str) {
     let solo: Vec<SimOutput> = sims
         .iter()
         .map(|sim| Engine::new(sim.clone(), ds).unwrap().run().unwrap())
         .collect();
     let window = SimWindow::new(&sims[0], ds).unwrap();
-    let engines: Vec<Engine> = sims
+    let mut engines: Vec<Engine> = sims
         .into_iter()
         .map(|sim| Engine::with_window(sim, &window).unwrap())
         .collect();
-    let batched = BatchedEngine::new(engines).unwrap().run().unwrap();
-    assert_eq!(solo.len(), batched.len(), "{what}: lane count");
+    let start = engines[0].sim_start();
+    for hour in 1..=12 {
+        for engine in &mut engines {
+            engine.run_until(start + SimDuration::hours(hour)).unwrap();
+        }
+    }
+    let batched: Vec<SimOutput> = engines.into_iter().map(|e| e.run().unwrap()).collect();
+    assert_eq!(solo.len(), batched.len(), "{what}: engine count");
     for (k, (s, b)) in solo.iter().zip(&batched).enumerate() {
-        assert_identical(s, b, &format!("{what} lane {k} ({})", s.label));
+        assert_identical(s, b, &format!("{what} engine {k} ({})", s.label));
     }
 }
 
@@ -153,8 +161,8 @@ fn batch_equals_solo_with_windowed_prepopulation_and_accounts() {
 
 #[test]
 fn batch_handles_mixed_engine_modes() {
-    // A tick-mode lane forces one-tick chunks while it lives; event
-    // lanes must still match their solo runs exactly.
+    // Tick- and event-core engines over one window must each match
+    // their solo runs exactly.
     let cfg = presets::adastra();
     let ds = workload(&cfg, 0.6, 3, 41);
     let sims = vec![
@@ -169,21 +177,14 @@ fn batch_handles_mixed_engine_modes() {
 
 #[test]
 fn batch_rejects_empty_and_mismatched_windows() {
-    assert!(BatchedEngine::new(Vec::new()).is_err(), "no lanes");
     let cfg = presets::adastra();
     let ds = workload(&cfg, 0.5, 4, 7);
     let whole = SimConfig::new(cfg.clone(), "fcfs", "none").unwrap();
-    let clipped = whole
+    let empty = whole
         .clone()
-        .with_window(SimTime::seconds(3600), SimTime::seconds(2 * 3600));
-    let engines = vec![
-        Engine::new(whole, &ds).unwrap(),
-        Engine::new(clipped.clone(), &ds).unwrap(),
-    ];
-    assert!(
-        BatchedEngine::new(engines).is_err(),
-        "mismatched windows must be rejected"
-    );
+        .with_window(SimTime::seconds(3600), SimTime::seconds(3600));
+    assert!(SimWindow::new(&empty, &ds).is_err(), "empty window");
+    let clipped = whole.with_window(SimTime::seconds(3600), SimTime::seconds(2 * 3600));
     let window = SimWindow::new(&clipped, &ds).unwrap();
     let shifted = SimConfig::new(cfg, "fcfs", "none")
         .unwrap()
@@ -195,10 +196,11 @@ fn batch_rejects_empty_and_mismatched_windows() {
 }
 
 proptest! {
-    /// Random lane compositions over random workloads: any subset of the
-    /// {fcfs,sjf,replay}×{none,easy,conservative} grid, with optional
-    /// outage and per-lane power caps, batched on both a constant- and a
-    /// traced-telemetry system — always bit-identical to solo runs.
+    /// Random batch compositions over random workloads: any subset of
+    /// the {fcfs,sjf,replay}×{none,easy,conservative} grid, with optional
+    /// outage and per-engine power caps, sharing one window on both a
+    /// constant- and a traced-telemetry system — always bit-identical to
+    /// solo runs.
     #[test]
     fn random_lane_compositions_match_solo(
         traced in any::<bool>(),

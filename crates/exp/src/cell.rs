@@ -69,6 +69,14 @@ impl WorkloadPlan {
     /// and groups are cosmetic and deliberately excluded, so renaming a
     /// study does not orphan its cache entries.
     pub fn fingerprint(&self) -> Result<Fingerprint> {
+        Ok(self.finish_fingerprint(self.content_hasher()?))
+    }
+
+    /// The fingerprint state before the window: the whole hash of a
+    /// synthetic plan; the system config and the full dataset of a
+    /// prebuilt one — the expensive part, and the same for every window
+    /// of one trace.
+    pub(crate) fn content_hasher(&self) -> Result<Fingerprinter> {
         let mut fp = Fingerprinter::new();
         match self {
             WorkloadPlan::Synthetic {
@@ -93,17 +101,36 @@ impl WorkloadPlan {
                 fp.write_str("prebuilt");
                 fp.write_debug(&w.config);
                 fp.write_debug(w.dataset.as_ref());
-                match w.window {
-                    Some((s, e)) => {
-                        fp.write_u8(1);
-                        fp.write_i64(s.as_secs());
-                        fp.write_i64(e.as_secs());
-                    }
-                    None => fp.write_u8(0),
-                }
             }
         }
-        Ok(fp.finish())
+        Ok(fp)
+    }
+
+    /// Fold a prebuilt plan's window into its content hash.
+    pub(crate) fn finish_fingerprint(&self, mut fp: Fingerprinter) -> Fingerprint {
+        if let WorkloadPlan::Prebuilt(w) = self {
+            match w.window {
+                Some((s, e)) => {
+                    fp.write_u8(1);
+                    fp.write_i64(s.as_secs());
+                    fp.write_i64(e.as_secs());
+                }
+                None => fp.write_u8(0),
+            }
+        }
+        fp.finish()
+    }
+
+    /// Prebuilt plans with equal keys have equal
+    /// [`WorkloadPlan::content_hasher`] states: the same dataset
+    /// allocation under the same system config.
+    pub(crate) fn shared_content(&self) -> Option<(usize, Fingerprint)> {
+        let WorkloadPlan::Prebuilt(w) = self else {
+            return None;
+        };
+        let mut config = Fingerprinter::new();
+        config.write_debug(&w.config);
+        Some((Arc::as_ptr(&w.dataset) as usize, config.finish()))
     }
 
     /// Build the dataset. Deterministic: same plan ⇒ identical workload.

@@ -421,6 +421,15 @@ impl ClaimSet {
         }
         let tomb = fsio::temp_sibling(path);
         match std::fs::rename(path, &tomb) {
+            // The re-read and the rename are two steps: another reclaimer
+            // may have won in between and installed its fresh claim, which
+            // the rename just moved away. Put a live claim back (a hard
+            // link only lands on a free path) and lose the race.
+            Ok(()) if !matches!(self.shared.read_state(&tomb), ClaimState::Stale) => {
+                let _ = std::fs::hard_link(&tomb, path);
+                let _ = std::fs::remove_file(&tomb);
+                Ok(false)
+            }
             Ok(()) => {
                 let _ = std::fs::remove_file(&tomb);
                 sraps_obs::bump(Counter::ClaimsStaleReclaimed);

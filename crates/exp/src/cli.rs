@@ -53,12 +53,6 @@ run shape:
 
 execution & output:
   --jobs N               worker threads (default: all cores)
-  --batch                batched execution: group cache-missing cells of
-                         the same workload into lanes and run each group
-                         through one multi-sim engine pass — reports and
-                         caches stay bit-identical to the per-cell path
-  --batch-max-lanes N    cap lanes per batched group (implies --batch;
-                         default 32)
   --prefix-share         simulate the shared pre---cap-at prefix once per
                          group and fork one resumed engine per capped
                          cell; bit-identical to the unshared sweep (with
@@ -134,10 +128,6 @@ pub struct SweepArgs {
     pub prefix_share: bool,
     pub engine: EngineMode,
     pub jobs: Option<usize>,
-    /// `--batch`: lane-grouped multi-sim execution.
-    pub batch: bool,
-    /// `--batch-max-lanes N` (implies `--batch`); `None` ⇒ runner default.
-    pub batch_max_lanes: Option<usize>,
     pub baseline: Option<String>,
     pub out_dir: PathBuf,
     pub write_histories: bool,
@@ -183,8 +173,6 @@ impl Default for SweepArgs {
             prefix_share: false,
             engine: EngineMode::default(),
             jobs: None,
-            batch: false,
-            batch_max_lanes: None,
             baseline: None,
             out_dir: PathBuf::from("simulation_results").join("sweep"),
             write_histories: false,
@@ -317,16 +305,11 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 }
                 a.jobs = Some(v);
             }
-            "--batch" => a.batch = true,
-            "--batch-max-lanes" => {
-                let v: usize = value(&mut i, "--batch-max-lanes")?
-                    .parse()
-                    .map_err(|e| format!("bad --batch-max-lanes: {e}"))?;
-                if v == 0 {
-                    return Err("--batch-max-lanes must be ≥ 1".into());
-                }
-                a.batch = true;
-                a.batch_max_lanes = Some(v);
+            flag @ ("--batch" | "--batch-max-lanes") => {
+                return Err(format!(
+                    "{flag} was removed: every sweep builds each workload's window \
+                     once and shares it across the workload's cells"
+                ))
             }
             "--baseline" => a.baseline = Some(value(&mut i, "--baseline")?),
             "-o" | "--output" => a.out_dir = PathBuf::from(value(&mut i, "--output")?),
@@ -471,15 +454,11 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
     let mut opts = SweepOptions::new()
         .progress(!a.quiet)
         .metrics_only(a.metrics_only)
-        .batch(a.batch)
         .prefix_share(a.prefix_share)
         .claims(a.claims)
         .fail_fast(a.fail_fast);
     if let Some(retries) = a.retries {
         opts = opts.retries(retries);
-    }
-    if let Some(lanes) = a.batch_max_lanes {
-        opts = opts.batch_max_lanes(lanes);
     }
     if let Some(dir) = &cache_dir {
         opts = opts.cache_dir(dir);
@@ -748,21 +727,15 @@ mod tests {
 
     #[test]
     fn batch_flags_parse() {
-        let a = parse(&["--system", "lassen"]).unwrap();
-        assert!(!a.batch);
-        assert_eq!(a.batch_max_lanes, None);
-
-        let a = parse(&["--system", "lassen", "--batch"]).unwrap();
-        assert!(a.batch);
-        assert_eq!(a.batch_max_lanes, None, "runner default applies");
-
-        // --batch-max-lanes implies --batch.
-        let a = parse(&["--system", "lassen", "--batch-max-lanes", "8"]).unwrap();
-        assert!(a.batch);
-        assert_eq!(a.batch_max_lanes, Some(8));
-
-        assert!(parse(&["--system", "lassen", "--batch-max-lanes", "0"]).is_err());
-        assert!(parse(&["--system", "lassen", "--batch-max-lanes"]).is_err());
+        // Scripts passing the removed batching flags get an error that
+        // says why, not a silent run of something else.
+        for args in [
+            &["--system", "lassen", "--batch"][..],
+            &["--system", "lassen", "--batch-max-lanes", "8"][..],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("was removed"), "{err}");
+        }
     }
 
     #[test]

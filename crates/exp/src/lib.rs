@@ -15,6 +15,11 @@
 //!   (std `thread::scope` + a shared atomic cursor) whose collected
 //!   results are **bit-identical** regardless of `--jobs`: cells land in
 //!   matrix order and every metric is a pure function of the simulation;
+//! * [`pipeline`] — the one cell pipeline sweep workers and the serve
+//!   daemon share: a per-workload memo ([`WorkloadMemo`]: dataset, then
+//!   the shared simulation window, then prefix snapshots) and the cell
+//!   state machine ([`CellJob::step`]: cache probe, claim, simulate under
+//!   retries, write back, release);
 //! * [`CellCache`] — a content-addressed on-disk memo of finished cells:
 //!   every cell is a pure function of (workload plan, cell spec), so its
 //!   metrics are stored under a canonical fingerprint
@@ -53,6 +58,7 @@ pub mod cli;
 pub mod faults;
 pub mod matrix;
 pub mod metrics;
+pub mod pipeline;
 pub mod report;
 pub mod runner;
 
@@ -62,8 +68,6 @@ pub use claims::{release_all_live, ClaimOutcome, ClaimSet, Lease};
 pub use faults::FaultPlan;
 pub use matrix::{ExperimentMatrix, PrebuiltWorkload};
 pub use metrics::CellMetrics;
+pub use pipeline::{CellJob, Probe, Step, WorkloadMemo};
 pub use report::{Report, ReportRow};
-pub use runner::{
-    execute_single, CellFailure, CellOutcome, CellResult, SweepOptions, SweepResults, SweepRunner,
-    DEFAULT_BATCH_MAX_LANES,
-};
+pub use runner::{CellFailure, CellResult, SweepOptions, SweepResults, SweepRunner};

@@ -9,23 +9,25 @@
 //!    load balancing: a thread that lands a long replay cell doesn't stall
 //!    the others), but every result is written into its cell's slot and
 //!    the assembled `Vec` is in matrix order. Each cell's simulation is
-//!    deterministic given (config, dataset), and datasets are built once
-//!    per workload — so thread count and interleaving are unobservable.
-//!    Caching preserves this: cached metrics roundtrip bit-exactly, so a
-//!    warm run's reports are byte-identical to the cold run's.
+//!    deterministic given (config, dataset), and datasets and windows are
+//!    built once per workload — so thread count and interleaving are
+//!    unobservable. Caching preserves this: cached metrics roundtrip
+//!    bit-exactly, so a warm run's reports are byte-identical to the cold
+//!    run's.
 //! 2. **Saturation** — cells vary wildly in cost (replay vs backfill,
 //!    15-day vs 61 000 s windows), so static chunking would idle threads;
 //!    the cursor gives single-cell granularity.
 //! 3. **Bounded memory** — a full [`SimOutput`] holds tick-resolution
 //!    histories; 100k-cell matrices cannot retain them all.
-//!    [`SweepRunner::metrics_only`] folds each output into
+//!    [`SweepOptions::metrics_only`] folds each output into
 //!    [`CellMetrics`] and drops it, making [`SweepResults`] O(cells ×
-//!    metrics); [`SweepRunner::spill_histories`] optionally parks the
+//!    metrics); [`SweepOptions::spill_histories`] optionally parks the
 //!    power/util histories in the cache directory on the way down.
 //!
-//! Workloads materialize first (also cursor-parallel across unique
-//! workloads), then cells run against the shared `Arc<Dataset>`s,
-//! consulting the [`CellCache`] before simulating when one is configured.
+//! Plans fingerprint first (cursor-parallel), then every cell runs
+//! through the one cell pipeline ([`crate::pipeline`]) against its
+//! workload's memo: the dataset and the simulation window are built once
+//! per workload, by the first cell that misses.
 //!
 //! A fourth property rides on top of the original three —
 //! **crash-safety**: with a cache directory configured, every miss is
@@ -38,46 +40,19 @@
 //! still flows to the report.
 
 use crate::cache::CellCache;
-use crate::cell::{CellSpec, MaterializedWorkload, WorkloadPlan};
-use crate::claims::{ClaimOutcome, ClaimSet, Lease};
-use crate::faults;
+use crate::cell::{CellSpec, WorkloadPlan};
+use crate::claims::ClaimSet;
 use crate::matrix::ExperimentMatrix;
 use crate::metrics::CellMetrics;
-use sraps_core::{
-    BatchedEngine, Engine, EngineSnapshot, Fingerprint, SimConfig, SimOutput, SimWindow,
-};
+use crate::pipeline::{CellJob, Probe, Step, WorkloadMemo};
+use sraps_core::{Fingerprint, SimOutput};
 use sraps_obs::{Counter, Phase as ObsPhase, Profile};
-use sraps_types::{Result, SimDuration, SrapsError};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use sraps_types::{Result, SrapsError};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
-
-/// A workload materialized at most once, on demand. In a cached sweep
-/// the dataset is only built when some cell actually misses — a fully
-/// warm re-run of a 100k-cell matrix synthesizes nothing at all.
-struct LazyWorkload<'a> {
-    plan: &'a WorkloadPlan,
-    slot: OnceLock<Result<MaterializedWorkload>>,
-}
-
-impl<'a> LazyWorkload<'a> {
-    fn new(plan: &'a WorkloadPlan) -> Self {
-        LazyWorkload {
-            plan,
-            slot: OnceLock::new(),
-        }
-    }
-
-    /// Materialize (once; concurrent callers block on the first).
-    fn get(&self) -> Result<&MaterializedWorkload> {
-        self.slot
-            .get_or_init(|| self.plan.materialize())
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-}
 
 /// Why a cell's result is a placeholder: it panicked or errored on
 /// every attempt. Failed cells are excluded from report rows and listed
@@ -115,7 +90,8 @@ pub struct CellResult {
     /// miss, the engine's phases and counters; for a hit, the cache-read
     /// span and hit counter (never zeroed engine phases). Each cell runs
     /// wholly on one worker thread, so the delta is deterministic for any
-    /// `--jobs` value.
+    /// `--jobs` value — except that the shared window's build lands in
+    /// whichever cell of the workload needed it first.
     pub profile: Option<Profile>,
     /// `Some` when the cell exhausted its retries: `metrics` is the
     /// all-zero placeholder and the cell is excluded from report rows.
@@ -134,7 +110,7 @@ pub struct SweepResults {
     pub jobs: usize,
     /// Cache directory consulted, when caching was enabled.
     pub cache_dir: Option<PathBuf>,
-    /// Work items (workloads + cells) claimed off the shared cursor by
+    /// Work items (plans + cells) claimed off the shared cursor by
     /// *spawned* worker threads — 0 on the serial fast path.
     pub worker_steals: u64,
     /// Shared-prefix groups formed when prefix sharing was enabled.
@@ -217,13 +193,10 @@ impl SweepResults {
     }
 }
 
-/// Default lane cap for batched sweeps (`--batch-max-lanes`).
-pub const DEFAULT_BATCH_MAX_LANES: usize = 32;
-
 /// Everything a sweep can be configured with, in one builder-style
-/// bundle shared by [`SweepRunner`] and both CLI paths. Construct with
-/// [`SweepOptions::new`] (or `default()`), chain setters, hand to
-/// [`SweepRunner::with_options`].
+/// bundle shared by [`SweepRunner`], the CLI, and the serve daemon's
+/// cell pipeline. Construct with [`SweepOptions::new`] (or `default()`),
+/// chain setters, hand to [`SweepRunner::with_options`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Print per-cell progress lines to stderr (CLI mode).
@@ -243,16 +216,6 @@ pub struct SweepOptions {
     /// — how `--write-histories` survives metrics-only and cached
     /// sweeps.
     pub spill_histories: bool,
-    /// Batched execution: group cache-missing cells of the same workload
-    /// into lanes and drive each group through one [`BatchedEngine`],
-    /// amortizing window construction and running step-4 physics as one
-    /// pass per chunk. Output is bit-identical to the unbatched sweep
-    /// (the engine's batch-parity suite pins it); only wall time and
-    /// profile attribution change.
-    pub batch: bool,
-    /// Cap on lanes per batched group. Larger groups amortize more but
-    /// keep more simulations' histories live at once.
-    pub batch_max_lanes: usize,
     /// Prefix sharing: cells that differ only in late-binding axes (a
     /// power cap deferred by [`crate::ExperimentMatrix::power_cap_at`])
     /// simulate their common pre-switch prefix once, snapshot it, and
@@ -285,8 +248,6 @@ impl Default for SweepOptions {
             cache_dir: None,
             metrics_only: false,
             spill_histories: false,
-            batch: false,
-            batch_max_lanes: DEFAULT_BATCH_MAX_LANES,
             prefix_share: false,
             claims: true,
             retries: 2,
@@ -317,16 +278,6 @@ impl SweepOptions {
 
     pub fn spill_histories(mut self, on: bool) -> Self {
         self.spill_histories = on;
-        self
-    }
-
-    pub fn batch(mut self, on: bool) -> Self {
-        self.batch = on;
-        self
-    }
-
-    pub fn batch_max_lanes(mut self, lanes: usize) -> Self {
-        self.batch_max_lanes = lanes.max(1);
         self
     }
 
@@ -368,10 +319,7 @@ impl SweepRunner {
     pub fn with_options(jobs: usize, opts: SweepOptions) -> Self {
         SweepRunner {
             jobs: jobs.max(1),
-            opts: SweepOptions {
-                batch_max_lanes: opts.batch_max_lanes.max(1),
-                ..opts
-            },
+            opts,
         }
     }
 
@@ -398,12 +346,13 @@ impl SweepRunner {
         &self.opts
     }
 
-    /// Execute the matrix: expand, materialize workloads, run every cell
-    /// (consulting the cache first when one is configured).
+    /// Execute the matrix: expand, fingerprint the plans, run every cell
+    /// through the cell pipeline (consulting the cache first when one is
+    /// configured).
     ///
-    /// On cell failure the error of the *lowest-indexed* failing cell is
-    /// returned (already-running cells finish first), keeping even the
-    /// error path independent of thread count.
+    /// On cell failure the error of the failing cell first in dispatch
+    /// order is returned (already-running cells finish first), keeping
+    /// even the error path independent of thread count.
     pub fn run(&self, matrix: &ExperimentMatrix) -> Result<SweepResults> {
         // The one timing pathway for the sweep wall clock (records into
         // the profile/trace only when obs is enabled, measures always).
@@ -420,41 +369,31 @@ impl SweepRunner {
             None => None,
         };
 
-        // Phase 1, cursor-parallel over unique workloads. Uncached:
-        // materialize every dataset up front (cells saturate phase 2
-        // immediately). Cached: compute only the plan fingerprints —
-        // synthetic plans fingerprint without building their dataset, so
-        // a fully warm sweep synthesizes nothing; datasets materialize
-        // lazily when a cell actually misses. (Prefix sharing needs the
-        // fingerprints too — they key the shared-prefix groups.)
-        let workloads: Vec<LazyWorkload> = plans.iter().map(LazyWorkload::new).collect();
-        let need_fps = cache.is_some() || self.opts.prefix_share;
-        let fingerprints: Vec<Option<Fingerprint>> = {
-            let phase1_jobs = self.jobs.min(plans.len().max(1));
-            let results = run_indexed(phase1_jobs, plans.len(), &steals, |i| {
-                let fp = if need_fps {
-                    Some(plans[i].fingerprint()?)
-                } else {
-                    None
-                };
-                if cache.is_none() {
-                    workloads[i].get()?;
-                }
-                Ok(fp)
-            });
-            collect_ordered(results)?
-        };
-
-        // Prefix-sharing plan: group late-cap cells by their shared
-        // prefix key, in matrix order. A pure function of the expanded
-        // matrix, so grouping is identical for any `--jobs` value; the
-        // snapshot itself is computed (or loaded) lazily, at most once
-        // per group, by whichever worker reaches the group first.
-        let (prefix_of, prefix_slots) = if self.opts.prefix_share {
-            plan_prefixes(&cells, &fingerprints, cache.is_some())
+        // Phase 1: plan fingerprints, when cells are keyed by content (a
+        // cache, or prefix sharing). Synthetic plans fingerprint without
+        // building their dataset, so a fully warm sweep synthesizes
+        // nothing; datasets materialize when a cell actually misses.
+        // Uncached sweeps simulate every cell, so they materialize every
+        // dataset up front and phase 2 saturates immediately.
+        let fingerprints = if cache.is_some() || self.opts.prefix_share {
+            self.fingerprint_plans(&plans, &steals)?
+                .into_iter()
+                .map(Some)
+                .collect()
         } else {
-            (vec![None; cells.len()], Vec::new())
+            vec![None; plans.len()]
         };
+        let workloads: Vec<WorkloadMemo> = plans
+            .into_iter()
+            .zip(fingerprints)
+            .map(|(plan, fp)| WorkloadMemo::new(plan, fp))
+            .collect();
+        if cache.is_none() {
+            let built = run_indexed(self.jobs, workloads.len(), &steals, |i| {
+                workloads[i].materialized().map(drop)
+            });
+            collect_ordered(built)?;
+        }
 
         // Claim leases guard misses when both a cache and the (default
         // on) claims option are configured: cooperating processes
@@ -465,84 +404,169 @@ impl SweepRunner {
             _ => None,
         };
 
-        // Phase 2: cells, collected by index — either per-cell
-        // (cursor-parallel over cells) or batched (cursor-parallel over
-        // same-workload lane groups). Both orders of execution assemble
-        // into matrix order, and the engine pins batched lane outputs
-        // bit-identical to solo runs, so the two paths produce
-        // byte-identical reports and cache entries. Cells whose claim is
-        // held by another process are *skipped* in this pass (the worker
-        // thread moves on) and resolved afterwards by polling the cache.
+        // Phase 2: cells, cursor-parallel, collected by index into
+        // matrix order. Cells whose claim is held by another process are
+        // skipped in this pass (the worker moves on) and resolved
+        // afterwards by polling the cache.
         let total = cells.len();
-        let counter = AtomicUsize::new(0);
-        let prefix_groups = prefix_slots.len();
-        let prefix_forks = prefix_of.iter().flatten().count();
         let exec = CellExec {
             runner: self,
             cells: &cells,
             workloads: &workloads,
-            fingerprints: &fingerprints,
-            prefix_of: &prefix_of,
-            prefix_slots: &prefix_slots,
             cache: cache.as_ref(),
             claims: claims.as_ref(),
-            counter: &counter,
-            total,
+            counter: AtomicUsize::new(0),
         };
-        let mut tries = if self.opts.batch {
-            self.run_cells_batched(&exec, &steals)?
-        } else {
-            let results = run_indexed(self.jobs.min(total.max(1)), total, &steals, |i| {
-                exec.run_cell(i)
-            });
-            collect_ordered(results)?
-        };
-        exec.resolve_deferred(&mut tries)?;
-        let cells = tries
+        // Dispatch every workload's first cell before the rest (each part
+        // in matrix order), so concurrent workers build different
+        // workloads' windows in parallel rather than queueing behind one
+        // build, then run each workload's cells back to back.
+        let mut seen = vec![false; workloads.len()];
+        let (mut order, rest): (Vec<usize>, Vec<usize>) =
+            (0..total).partition(|&i| !std::mem::replace(&mut seen[cells[i].workload], true));
+        order.extend(rest);
+        let results = run_indexed(self.jobs, total, &steals, |k| {
+            exec.step(order[k], Probe::Counted)
+        });
+        let mut slots: Vec<Option<CellResult>> = (0..total).map(|_| None).collect();
+        for (k, result) in collect_ordered(results)?.into_iter().enumerate() {
+            slots[order[k]] = result;
+        }
+        exec.resolve_deferred(&mut slots)?;
+        let results = slots
             .into_iter()
-            .enumerate()
-            .map(|(i, t)| match t {
-                CellTry::Done(r) => Ok(*r),
-                CellTry::Deferred => Err(SrapsError::Config(format!(
-                    "internal: deferred sweep cell {i} was never resolved"
-                ))),
-            })
-            .collect::<Result<Vec<_>>>()?;
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| {
+                SrapsError::Config("internal: a deferred sweep cell was never resolved".into())
+            })?;
+
+        // Prefix-sharing stats: a pure function of the expanded matrix,
+        // identical for any `--jobs` value.
+        let forks: Vec<Fingerprint> = if self.opts.prefix_share {
+            cells
+                .iter()
+                .filter_map(|c| {
+                    Some(c.prefix_fingerprint(workloads[c.workload].fp?, c.late_cap()?))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
 
         Ok(SweepResults {
-            cells,
-            workload_labels: plans.iter().map(|p| p.label()).collect(),
+            cells: results,
+            workload_labels: workloads.iter().map(|w| w.plan.label()).collect(),
             wall: sweep_watch.finish(),
             jobs: self.jobs,
             cache_dir: self.opts.cache_dir.clone(),
             worker_steals: steals.into_inner(),
-            prefix_groups,
-            prefix_forks,
+            prefix_groups: forks.iter().collect::<HashSet<_>>().len(),
+            prefix_forks: forks.len(),
         })
     }
 
-    /// Assemble one finished [`CellResult`] (and print the progress line
-    /// in CLI mode). Shared by the per-cell and batched paths so both
-    /// produce identical result rows.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_cell(
+    /// Every plan's [`WorkloadPlan::fingerprint`], cursor-parallel.
+    /// Prebuilt plans cut from one shared dataset — the windows of a long
+    /// trace — hash that dataset once instead of once per window; the
+    /// keys are the same either way.
+    fn fingerprint_plans(
         &self,
-        cell: &CellSpec,
-        plan: &WorkloadPlan,
-        cache_key: Option<String>,
-        progress: (&AtomicUsize, usize),
-        metrics: CellMetrics,
-        output: Option<SimOutput>,
-        from_cache: bool,
-        elapsed: Duration,
-        profile: Option<Profile>,
-        failure: Option<CellFailure>,
-    ) -> CellResult {
-        if self.opts.progress {
-            let (counter, total) = progress;
-            let done = counter.fetch_add(1, Ordering::Relaxed) + 1;
+        plans: &[WorkloadPlan],
+        steals: &AtomicU64,
+    ) -> Result<Vec<Fingerprint>> {
+        let mut first: Vec<usize> = Vec::new();
+        let mut by_content = HashMap::new();
+        let group: Vec<usize> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let fresh = first.len();
+                let g = match plan.shared_content() {
+                    Some(content) => *by_content.entry(content).or_insert(fresh),
+                    None => fresh,
+                };
+                if g == fresh {
+                    first.push(i);
+                }
+                g
+            })
+            .collect();
+        let hashers = run_indexed(self.jobs, first.len(), steals, |g| {
+            plans[first[g]].content_hasher()
+        });
+        let hashers = collect_ordered(hashers)?;
+        Ok(plans
+            .iter()
+            .zip(group)
+            .map(|(plan, g)| plan.finish_fingerprint(hashers[g].clone()))
+            .collect())
+    }
+}
+
+/// Everything phase 2 needs to step one cell and fold the outcome into a
+/// [`CellResult`], shared by the main pass and the deferral loop.
+struct CellExec<'a> {
+    runner: &'a SweepRunner,
+    cells: &'a [CellSpec],
+    workloads: &'a [WorkloadMemo],
+    cache: Option<&'a CellCache>,
+    claims: Option<&'a ClaimSet>,
+    /// Finished cells, for progress lines.
+    counter: AtomicUsize,
+}
+
+impl CellExec<'_> {
+    /// One step of cell `i` under a `sweep.cell` span and a profile
+    /// capture of everything it does (cache probe included). `None` when
+    /// another process holds the cell's claim.
+    fn step(&self, i: usize, probe: Probe) -> Result<Option<CellResult>> {
+        let opts = &self.runner.opts;
+        let cell = &self.cells[i];
+        let workload = &self.workloads[cell.workload];
+        let capture = sraps_obs::capture();
+        let watch = sraps_obs::stopwatch(ObsPhase::SweepCell);
+        let key = workload.cell_key(cell);
+        let job = CellJob {
+            cell,
+            workload,
+            key: key.as_deref(),
+            cache: self.cache,
+            claims: self.claims,
+            opts,
+            salt: i,
+            cancel: &|| false,
+        };
+        let step = job.step(probe);
+        let elapsed = watch.finish();
+        let profile = capture.finish();
+        let (metrics, output, from_cache, failure) = match step? {
+            Step::Done {
+                metrics,
+                output,
+                from_cache,
+            } => (
+                metrics,
+                output.filter(|_| !opts.metrics_only).map(|o| *o),
+                from_cache,
+                None,
+            ),
+            Step::Failed { error, .. } if opts.fail_fast => return Err(error),
+            Step::Failed { error, attempts } => (
+                CellMetrics::failed(),
+                None,
+                false,
+                Some(CellFailure {
+                    error: error.to_string(),
+                    attempts,
+                }),
+            ),
+            Step::Contended | Step::Canceled => return Ok(None),
+        };
+        if opts.progress {
+            let done = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
             eprintln!(
-                "  [{done:>3}/{total}] {:<40} {:>6} jobs  util {:>5.1}%  {}",
+                "  [{done:>3}/{}] {:<40} {:>6} jobs  util {:>5.1}%  {}",
+                self.cells.len(),
                 cell.label,
                 metrics.jobs_completed,
                 metrics.mean_utilization * 100.0,
@@ -555,920 +579,45 @@ impl SweepRunner {
                 },
             );
         }
-        CellResult {
+        let plan = &workload.plan;
+        Ok(Some(CellResult {
             spec: cell.clone(),
             // Plan-derived metadata is identical to what materialization
-            // would record, so hit and miss paths produce the same
-            // result rows.
+            // would record, so hit and miss paths produce the same rows.
             workload_label: plan.label(),
             workload_group: plan.group(),
             seed: plan.seed(),
             metrics,
             output,
-            cache_key,
+            cache_key: key,
             from_cache,
             profile,
             failure,
-        }
+        }))
     }
 
-    /// Batched phase 2, in three stages:
-    ///
-    /// * **A — consult**: every cell checks the cache (cursor-parallel).
-    ///   Hits finish immediately and never enter a lane; misses carry
-    ///   their cache-read profile forward.
-    /// * **B — lane formation**: miss indices in matrix order, bucketed
-    ///   by workload (one workload ⇒ one system, tick grid, and window —
-    ///   the lane-compatibility key), each bucket chunked to
-    ///   `batch_max_lanes`. A pure function of the consult outcomes, so
-    ///   grouping is identical for any `--jobs` value.
-    /// * **C — execute**: groups run cursor-parallel; each builds one
-    ///   shared [`SimWindow`], one engine per lane via
-    ///   [`Engine::with_window`], and drives them through a
-    ///   [`BatchedEngine`]. Cache write-back and metrics folding happen
-    ///   inside the group's capture, so the group profile (attached to
-    ///   the group's first lane; other lanes keep only their consult
-    ///   delta) accounts for all work, exactly once.
-    ///
-    /// Crash-safety composes with batching: consult-stage misses are
-    /// claim-leased (contended cells are deferred, never entering a
-    /// lane), and a panic or error anywhere in a group falls back to
-    /// per-cell execution of its members — the full retry/isolation
-    /// machinery then quarantines the poisoned lane on its own.
-    fn run_cells_batched(&self, exec: &CellExec, steals: &AtomicU64) -> Result<Vec<CellTry>> {
-        let (cells, workloads) = (exec.cells, exec.workloads);
-        let (prefix_of, prefix_slots) = (exec.prefix_of, exec.prefix_slots);
-        let cache = exec.cache;
-        struct Consult {
-            /// Finished result for a cache hit; `None` ⇒ lane candidate.
-            result: Option<CellResult>,
-            key: Option<String>,
-            /// A miss's cache-read delta, merged into its lane result.
-            profile: Option<Profile>,
-            /// The miss's claim lease, taken by whichever stage installs
-            /// (or permanently fails) the cell.
-            lease: Mutex<Option<Lease>>,
-            /// Leased by another process: excluded from lanes, resolved
-            /// by the deferral loop.
-            deferred: bool,
-        }
-        let total = cells.len();
-
-        let consults = run_indexed(self.jobs.min(total.max(1)), total, steals, |i| {
-            let cell = &cells[i];
-            let key = exec.fingerprints[cell.workload].map(|fp| cell.fingerprint(fp).hex());
-            if let (Some(cache), Some(k)) = (cache, &key) {
-                let capture = sraps_obs::capture();
-                let watch = sraps_obs::stopwatch(ObsPhase::SweepCell);
-                if let Some(hit) = cache.load(k, self.opts.spill_histories) {
-                    let elapsed = watch.finish();
-                    let profile = capture.finish();
-                    return Ok(Consult {
-                        result: Some(self.finish_cell(
-                            cell,
-                            workloads[cell.workload].plan,
-                            key.clone(),
-                            (exec.counter, total),
-                            hit.metrics,
-                            None,
-                            true,
-                            elapsed,
-                            profile,
-                            None,
-                        )),
-                        key,
-                        profile: None,
-                        lease: Mutex::new(None),
-                        deferred: false,
-                    });
-                }
-                let _ = watch.finish();
-                let profile = capture.finish();
-                return match exec.claim(k) {
-                    ClaimDecision::Own(lease) => Ok(Consult {
-                        result: None,
-                        key,
-                        profile,
-                        lease: Mutex::new(lease),
-                        deferred: false,
-                    }),
-                    ClaimDecision::Defer => Ok(Consult {
-                        result: None,
-                        key,
-                        profile: None,
-                        lease: Mutex::new(None),
-                        deferred: true,
-                    }),
-                };
-            }
-            Ok(Consult {
-                result: None,
-                key,
-                profile: None,
-                lease: Mutex::new(None),
-                deferred: false,
-            })
-        });
-        let consults = collect_ordered(consults)?;
-
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); workloads.len()];
-        for (i, consult) in consults.iter().enumerate() {
-            if consult.result.is_none() && !consult.deferred {
-                buckets[cells[i].workload].push(i);
-            }
-        }
-        let groups: Vec<&[usize]> = buckets
-            .iter()
-            .flat_map(|bucket| bucket.chunks(self.opts.batch_max_lanes))
-            .collect();
-
-        let group_results = run_indexed(
-            self.jobs.min(groups.len().max(1)),
-            groups.len(),
-            steals,
-            |g| {
-                let group = groups[g];
-                // The whole group runs on this thread: one `sweep.cell`
-                // span and one capture cover window construction, all K
-                // lanes' simulation, metrics folding, and write-back.
-                let group_capture = sraps_obs::capture();
-                let group_watch = sraps_obs::stopwatch(ObsPhase::SweepCell);
-                type Lanes = Vec<(usize, CellMetrics, Option<SimOutput>)>;
-                let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Lanes> {
-                    let workload = workloads[cells[group[0]].workload].get()?;
-                    for &i in group {
-                        faults::panic_point(i);
-                    }
-                    let sims = group
-                        .iter()
-                        .map(|&i| cells[i].build_sim(workload))
-                        .collect::<Result<Vec<_>>>()?;
-                    let window = SimWindow::new(&sims[0], &workload.dataset)?;
-                    // Lanes need not share a current instant — the batched
-                    // core advances each lane from its own cursor — so fresh
-                    // lanes and prefix-resumed lanes mix freely in one group.
-                    let engines = group
-                        .iter()
-                        .zip(sims)
-                        .map(|(&i, sim)| {
-                            let cell = &cells[i];
-                            match cell.late_cap() {
-                                None => Engine::with_window(sim, &window),
-                                Some(switch) => match prefix_of[i].map(|s| &prefix_slots[s]) {
-                                    Some(slot) => {
-                                        let (_, snap) = slot.get(cell, workload, switch, cache)?;
-                                        Engine::builder(sim).resume(snap).build_in_window(&window)
-                                    }
-                                    None => {
-                                        let snap = compute_prefix(
-                                            cell.prefix_spec().build_sim(workload)?,
-                                            &window,
-                                            switch,
-                                        )?;
-                                        Engine::builder(sim).resume(&snap).build_in_window(&window)
-                                    }
-                                },
-                            }
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    let outputs = BatchedEngine::new(engines)?.run()?;
-                    let mut lanes = Vec::with_capacity(group.len());
-                    for (&i, output) in group.iter().zip(outputs) {
-                        let metrics = CellMetrics::from_output(&output);
-                        if let (Some(cache), Some(key)) = (cache, &consults[i].key) {
-                            exec.store_degraded(i, cache, key, &cells[i], &metrics, &output);
-                        }
-                        lanes.push((i, metrics, (!self.opts.metrics_only).then_some(output)));
-                    }
-                    Ok(lanes)
-                }));
-                let lanes = match attempt {
-                    Ok(Ok(lanes)) => lanes,
-                    // A panic or error anywhere in the group: discard the
-                    // group capture and re-run each member cell solo with
-                    // the full retry/isolation machinery — the poisoned
-                    // lane degrades to a failed-cells row on its own, and
-                    // healthy lanes still complete.
-                    Ok(Err(_)) | Err(_) => {
-                        let _ = group_watch.finish();
-                        let _ = group_capture.finish();
-                        let mut out = Vec::with_capacity(group.len());
-                        for &i in group {
-                            let lease = consults[i].lease.lock().unwrap().take();
-                            out.push((
-                                i,
-                                exec.run_cell_isolated(i, consults[i].key.clone(), lease)?,
-                            ));
-                        }
-                        return Ok(out);
-                    }
-                };
-                // Entries installed: the leases have done their job.
-                for &i in group {
-                    if let Some(lease) = consults[i].lease.lock().unwrap().take() {
-                        lease.release();
-                    }
-                }
-                let elapsed = group_watch.finish();
-                let mut group_profile = group_capture.finish();
-                Ok(lanes
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, (i, metrics, output))| {
-                        let mut profile = consults[i].profile.clone();
-                        if k == 0 {
-                            if let Some(gp) = group_profile.take() {
-                                profile.get_or_insert_with(Profile::default).merge(&gp);
-                            }
-                        }
-                        let result = self.finish_cell(
-                            &cells[i],
-                            workloads[cells[i].workload].plan,
-                            consults[i].key.clone(),
-                            (exec.counter, total),
-                            metrics,
-                            output,
-                            false,
-                            elapsed,
-                            profile,
-                            None,
-                        );
-                        (i, result)
-                    })
-                    .collect::<Vec<_>>())
-            },
-        );
-        let group_results = collect_ordered(group_results)?;
-
-        let deferred: Vec<bool> = consults.iter().map(|c| c.deferred).collect();
-        let mut slots: Vec<Option<CellResult>> = consults.into_iter().map(|c| c.result).collect();
-        for lanes in group_results {
-            for (i, result) in lanes {
-                slots[i] = Some(result);
-            }
-        }
-        slots
-            .into_iter()
-            .zip(deferred)
-            .enumerate()
-            .map(|(i, (slot, deferred))| match (slot, deferred) {
-                (Some(r), _) => Ok(CellTry::Done(Box::new(r))),
-                (None, true) => Ok(CellTry::Deferred),
-                (None, false) => Err(SrapsError::Config(format!(
-                    "internal: batched sweep cell {i} was never run"
-                ))),
-            })
-            .collect()
-    }
-}
-
-/// Outcome of one pass over a cell: finished, or skipped because another
-/// process holds its claim (resolved later by [`CellExec::resolve_deferred`]).
-enum CellTry {
-    Done(Box<CellResult>),
-    Deferred,
-}
-
-/// What to do with a cache miss after consulting the claim set.
-enum ClaimDecision {
-    /// Simulate here, releasing the lease (when one exists) afterwards.
-    Own(Option<Lease>),
-    /// A live foreign lease: skip for now, poll the cache later.
-    Defer,
-}
-
-/// Everything phase 2 needs to execute one cell, bundled so the per-cell,
-/// batched, and deferred-resolution paths share identical logic (and
-/// therefore identical results, counters, and failure semantics).
-struct CellExec<'a> {
-    runner: &'a SweepRunner,
-    cells: &'a [CellSpec],
-    workloads: &'a [LazyWorkload<'a>],
-    fingerprints: &'a [Option<Fingerprint>],
-    prefix_of: &'a [Option<usize>],
-    prefix_slots: &'a [PrefixSlot],
-    cache: Option<&'a CellCache>,
-    claims: Option<&'a ClaimSet>,
-    counter: &'a AtomicUsize,
-    total: usize,
-}
-
-impl CellExec<'_> {
-    /// One main-pass attempt at cell `i`: cache hit → done; miss → claim,
-    /// simulate when owned, defer when another process is on it.
-    fn run_cell(&self, i: usize) -> Result<CellTry> {
-        let cell = &self.cells[i];
-        // Per-cell observability: a `sweep.cell` span plus a thread-local
-        // capture of everything the cell does (cache probe included).
-        let capture = sraps_obs::capture();
-        let watch = sraps_obs::stopwatch(ObsPhase::SweepCell);
-        let key = self.fingerprints[cell.workload].map(|fp| cell.fingerprint(fp).hex());
-        if let (Some(cache), Some(k)) = (self.cache, &key) {
-            if let Some(hit) = cache.load(k, self.runner.opts.spill_histories) {
-                let elapsed = watch.finish();
-                let profile = capture.finish();
-                return Ok(CellTry::Done(Box::new(self.runner.finish_cell(
-                    cell,
-                    self.workloads[cell.workload].plan,
-                    key,
-                    (self.counter, self.total),
-                    hit.metrics,
-                    None,
-                    true,
-                    elapsed,
-                    profile,
-                    None,
-                ))));
-            }
-            return match self.claim(k) {
-                ClaimDecision::Defer => {
-                    // Skip, don't block: the worker thread moves on to
-                    // other cells; the deferral loop picks this one up
-                    // afterwards.
-                    let _ = watch.finish();
-                    let _ = capture.finish();
-                    Ok(CellTry::Deferred)
-                }
-                ClaimDecision::Own(lease) => Ok(CellTry::Done(Box::new(
-                    self.simulate_claimed(i, cell, key, lease, capture, watch)?,
-                ))),
-            };
-        }
-        self.simulate_claimed(i, cell, key, None, capture, watch)
-            .map(|r| CellTry::Done(Box::new(r)))
-    }
-
-    /// Classify a miss against the claim set. Transient claim-I/O errors
-    /// get a short bounded retry; a persistently failing claim layer
-    /// degrades to running unclaimed (correctness never depends on
-    /// claims — only duplicate-work avoidance does).
-    fn claim(&self, key: &str) -> ClaimDecision {
+    /// Serial post-pass for cells the main pass deferred: re-step each
+    /// one (the other process usually finishes and installs it; a
+    /// crashed owner's stale lease is reclaimed and the cell simulated
+    /// here), with jittered sleeps between rounds so N pollers don't
+    /// stampede.
+    fn resolve_deferred(&self, slots: &mut [Option<CellResult>]) -> Result<()> {
         let Some(claims) = self.claims else {
-            return ClaimDecision::Own(None);
-        };
-        let mut last_err = None;
-        for attempt in 0..3u32 {
-            if attempt > 0 {
-                std::thread::sleep(claims.backoff(key, attempt));
-                sraps_obs::bump(Counter::CellRetries);
-            }
-            match claims.try_acquire(key) {
-                Ok(ClaimOutcome::Acquired(lease)) => return ClaimDecision::Own(Some(lease)),
-                Ok(ClaimOutcome::Contended) => return ClaimDecision::Defer,
-                Err(e) => last_err = Some(e),
-            }
-        }
-        eprintln!(
-            "warning: claim layer unavailable for cell {key}: {} (running unclaimed)",
-            last_err.expect("loop ran")
-        );
-        ClaimDecision::Own(None)
-    }
-
-    /// Simulate cell `i` under an (optional) held lease: re-validate the
-    /// cache, run inside `catch_unwind` with bounded jittered retries,
-    /// write back with degradation, release the lease, and fold permanent
-    /// failures into a [`CellFailure`] row (unless `fail_fast`).
-    fn simulate_claimed(
-        &self,
-        i: usize,
-        cell: &CellSpec,
-        key: Option<String>,
-        lease: Option<Lease>,
-        capture: sraps_obs::Capture,
-        watch: sraps_obs::Stopwatch,
-    ) -> Result<CellResult> {
-        let opts = &self.runner.opts;
-        // Between our miss and our claim, the previous owner may have
-        // finished the cell. Counter-free peek keeps single-process
-        // cache.hits/misses counters deterministic.
-        if lease.is_some() {
-            if let (Some(cache), Some(k)) = (self.cache, key.as_deref()) {
-                if let Some(hit) = cache.peek(k, opts.spill_histories) {
-                    if let Some(lease) = lease {
-                        lease.release();
-                    }
-                    let elapsed = watch.finish();
-                    let profile = capture.finish();
-                    return Ok(self.runner.finish_cell(
-                        cell,
-                        self.workloads[cell.workload].plan,
-                        key,
-                        (self.counter, self.total),
-                        hit.metrics,
-                        None,
-                        true,
-                        elapsed,
-                        profile,
-                        None,
-                    ));
-                }
-            }
-        }
-        // Workload materialization failures are configuration errors
-        // (bad scenario path, malformed plan): they abort the sweep
-        // rather than masquerade as per-cell failures.
-        let workload = self.workloads[cell.workload].get()?;
-        let prefix = self.prefix_of[i].map(|s| &self.prefix_slots[s]);
-        let mut attempts = 0u32;
-        let outcome = loop {
-            attempts += 1;
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                faults::panic_point(i);
-                simulate_cell(cell, workload, prefix, self.cache)
-            }));
-            let err = match attempt {
-                Ok(Ok(output)) => break Ok(output),
-                Ok(Err(e)) => e,
-                Err(payload) => SrapsError::Panic(panic_message(payload)),
-            };
-            if attempts > opts.retries || !retryable(&err) {
-                break Err(err);
-            }
-            sraps_obs::bump(Counter::CellRetries);
-            std::thread::sleep(retry_backoff(attempts, i));
-        };
-        match outcome {
-            Ok(output) => {
-                let metrics = CellMetrics::from_output(&output);
-                if let (Some(cache), Some(k)) = (self.cache, key.as_deref()) {
-                    self.store_degraded(i, cache, k, cell, &metrics, &output);
-                }
-                if let Some(lease) = lease {
-                    lease.release();
-                }
-                let elapsed = watch.finish();
-                let profile = capture.finish();
-                Ok(self.runner.finish_cell(
-                    cell,
-                    self.workloads[cell.workload].plan,
-                    key,
-                    (self.counter, self.total),
-                    metrics,
-                    (!opts.metrics_only).then_some(output),
-                    false,
-                    elapsed,
-                    profile,
-                    None,
-                ))
-            }
-            Err(e) => {
-                sraps_obs::bump(Counter::CellsFailed);
-                // Release so a cooperating process (or a rerun) can take
-                // another swing at the cell.
-                if let Some(lease) = lease {
-                    lease.release();
-                }
-                if opts.fail_fast {
-                    return Err(e);
-                }
-                let elapsed = watch.finish();
-                let profile = capture.finish();
-                Ok(self.runner.finish_cell(
-                    cell,
-                    self.workloads[cell.workload].plan,
-                    key,
-                    (self.counter, self.total),
-                    CellMetrics::failed(),
-                    None,
-                    false,
-                    elapsed,
-                    profile,
-                    Some(CellFailure {
-                        error: e.to_string(),
-                        attempts,
-                    }),
-                ))
-            }
-        }
-    }
-
-    /// Batched-path fallback: run cell `i` solo, with its already-held
-    /// lease, under the full retry/isolation machinery.
-    fn run_cell_isolated(
-        &self,
-        i: usize,
-        key: Option<String>,
-        lease: Option<Lease>,
-    ) -> Result<CellResult> {
-        let capture = sraps_obs::capture();
-        let watch = sraps_obs::stopwatch(ObsPhase::SweepCell);
-        self.simulate_claimed(i, &self.cells[i], key, lease, capture, watch)
-    }
-
-    /// Cache write-back that *degrades* instead of failing: transient
-    /// errors get the bounded retry/backoff treatment, and exhaustion
-    /// surfaces as a warning plus `cache.write_errors` bump while the
-    /// cell result still flows to the report.
-    fn store_degraded(
-        &self,
-        i: usize,
-        cache: &CellCache,
-        key: &str,
-        cell: &CellSpec,
-        metrics: &CellMetrics,
-        output: &SimOutput,
-    ) {
-        store_with_retries(
-            cache,
-            key,
-            cell,
-            metrics,
-            output,
-            self.runner.opts.spill_histories,
-            self.runner.opts.retries,
-            i,
-        );
-    }
-
-    /// Serial post-pass for cells the main pass deferred: poll each one's
-    /// cache entry (the other process usually finishes and installs it),
-    /// re-attempting the claim between polls so a crashed owner's stale
-    /// lease is reclaimed and the cell simulated here. Jittered sleeps
-    /// between rounds keep N pollers from stampeding.
-    fn resolve_deferred(&self, slots: &mut [CellTry]) -> Result<()> {
-        let (Some(cache), Some(claims)) = (self.cache, self.claims) else {
             return Ok(());
         };
-        let mut pending: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| matches!(t, CellTry::Deferred).then_some(i))
-            .collect();
         let mut round = 0u32;
-        while !pending.is_empty() {
-            let mut still = Vec::with_capacity(pending.len());
-            for &i in &pending {
-                let cell = &self.cells[i];
-                let key = self.fingerprints[cell.workload]
-                    .map(|fp| cell.fingerprint(fp).hex())
-                    .expect("deferred cells always have a cache key");
-                let capture = sraps_obs::capture();
-                let watch = sraps_obs::stopwatch(ObsPhase::SweepCell);
-                if let Some(hit) = cache.peek(&key, self.runner.opts.spill_histories) {
-                    let elapsed = watch.finish();
-                    let profile = capture.finish();
-                    slots[i] = CellTry::Done(Box::new(self.runner.finish_cell(
-                        cell,
-                        self.workloads[cell.workload].plan,
-                        Some(key),
-                        (self.counter, self.total),
-                        hit.metrics,
-                        None,
-                        true,
-                        elapsed,
-                        profile,
-                        None,
-                    )));
-                    continue;
-                }
-                match self.claim(&key) {
-                    ClaimDecision::Own(lease) => {
-                        slots[i] = CellTry::Done(Box::new(self.simulate_claimed(
-                            i,
-                            cell,
-                            Some(key),
-                            lease,
-                            capture,
-                            watch,
-                        )?));
-                    }
-                    ClaimDecision::Defer => {
-                        let _ = watch.finish();
-                        let _ = capture.finish();
-                        still.push(i);
-                    }
-                }
+        loop {
+            let pending: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+            if pending.is_empty() {
+                return Ok(());
             }
-            if !still.is_empty() {
-                round = round.wrapping_add(1);
+            if round > 0 {
                 std::thread::sleep(claims.backoff("deferred", round));
             }
-            pending = still;
-        }
-        Ok(())
-    }
-}
-
-/// Degrading cache write-back shared by the sweep path
-/// ([`CellExec::store_degraded`]) and the daemon's single-cell path
-/// ([`execute_single`]): transient errors retry with jittered backoff,
-/// exhaustion warns + bumps `cache.write_errors` while the result still
-/// flows to the caller.
-#[allow(clippy::too_many_arguments)]
-fn store_with_retries(
-    cache: &CellCache,
-    key: &str,
-    cell: &CellSpec,
-    metrics: &CellMetrics,
-    output: &SimOutput,
-    spill_histories: bool,
-    retries: u32,
-    salt: usize,
-) {
-    let histories = spill_histories.then(|| (output.power_csv(), output.util_csv()));
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let wrote = faults::before_cache_write(salt).and_then(|()| {
-            cache.store(
-                key,
-                &cell.label,
-                metrics,
-                histories.as_ref().map(|(p, u)| (p.as_str(), u.as_str())),
-            )
-        });
-        match wrote {
-            Ok(()) => {
-                faults::after_cache_write(salt, &cache.entry_path(key));
-                return;
+            for i in pending {
+                slots[i] = self.step(i, Probe::Recheck)?;
             }
-            Err(_) if attempts <= retries => {
-                sraps_obs::bump(Counter::CellRetries);
-                std::thread::sleep(retry_backoff(attempts, salt));
-            }
-            Err(e) => {
-                sraps_obs::bump(Counter::CacheWriteErrors);
-                eprintln!("warning: cache write failed for cell {key}: {e}");
-                return;
-            }
-        }
-    }
-}
-
-/// Outcome of [`execute_single`] — one cell driven to a terminal state
-/// outside a sweep (the resident daemon's cold-query path).
-#[derive(Debug)]
-pub enum CellOutcome {
-    /// Metrics are available: simulated here, or installed by a peer
-    /// process (`from_cache`).
-    Done {
-        metrics: CellMetrics,
-        from_cache: bool,
-    },
-    /// The simulation exhausted its retries (or hit a non-retryable
-    /// error) — a structured per-cell failure, not a process error.
-    Failed { error: String, attempts: u32 },
-    /// `cancel` fired (deadline expiry, drain) before a terminal state.
-    Canceled,
-}
-
-/// Drive one cell to a terminal state under the full claim/retry
-/// protocol, exactly as a sweep worker would — so a resident daemon and
-/// external `sraps sweep` processes on the same cache directory
-/// cooperate (and produce byte-identical cache entries) by construction.
-///
-/// The loop: peek the cache → done on hit; claim the cell → on a live
-/// foreign lease, sleep a jittered backoff and re-poll (the peer usually
-/// installs the entry; a `kill -9`'d peer's claim goes stale and is
-/// reclaimed here); when owned, peek-revalidate then simulate inside
-/// `catch_unwind` with the sweep's bounded jittered retries, install the
-/// entry, release. `cancel` is consulted between claim rounds and retry
-/// attempts — a canceled request never abandons a held lease.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_single(
-    cell: &CellSpec,
-    key: &str,
-    workload: &MaterializedWorkload,
-    cache: &CellCache,
-    claims: &ClaimSet,
-    retries: u32,
-    cancel: &(dyn Fn() -> bool + Sync),
-    salt: usize,
-) -> Result<CellOutcome> {
-    let mut round = 0u32;
-    let mut claim_errors = 0u32;
-    loop {
-        if let Some(hit) = cache.peek(key, false) {
-            return Ok(CellOutcome::Done {
-                metrics: hit.metrics,
-                from_cache: true,
-            });
-        }
-        if cancel() {
-            return Ok(CellOutcome::Canceled);
-        }
-        let lease = match claims.try_acquire(key) {
-            Ok(ClaimOutcome::Acquired(lease)) => lease,
-            Ok(ClaimOutcome::Contended) => {
-                round = round.wrapping_add(1);
-                std::thread::sleep(claims.backoff(key, round));
-                continue;
-            }
-            Err(e) => {
-                // Transient claim-layer I/O gets a short bounded retry;
-                // persistent failure is a real error (the daemon turns
-                // it into a structured response, not a crash).
-                claim_errors += 1;
-                if claim_errors >= 3 {
-                    return Err(e);
-                }
-                std::thread::sleep(claims.backoff(key, claim_errors));
-                continue;
-            }
-        };
-        // Between our miss and our claim the previous owner may have
-        // installed the entry.
-        if let Some(hit) = cache.peek(key, false) {
-            lease.release();
-            return Ok(CellOutcome::Done {
-                metrics: hit.metrics,
-                from_cache: true,
-            });
-        }
-        let mut attempts = 0u32;
-        let outcome = loop {
-            attempts += 1;
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                faults::panic_point(salt);
-                simulate_cell(cell, workload, None, Some(cache))
-            }));
-            let err = match attempt {
-                Ok(Ok(output)) => break Ok(output),
-                Ok(Err(e)) => e,
-                Err(payload) => SrapsError::Panic(panic_message(payload)),
-            };
-            if attempts > retries || !retryable(&err) {
-                break Err(err);
-            }
-            sraps_obs::bump(Counter::CellRetries);
-            if cancel() {
-                lease.release();
-                return Ok(CellOutcome::Canceled);
-            }
-            std::thread::sleep(retry_backoff(attempts, salt));
-        };
-        return match outcome {
-            Ok(output) => {
-                let metrics = CellMetrics::from_output(&output);
-                store_with_retries(cache, key, cell, &metrics, &output, false, retries, salt);
-                lease.release();
-                Ok(CellOutcome::Done {
-                    metrics,
-                    from_cache: false,
-                })
-            }
-            Err(e) => {
-                sraps_obs::bump(Counter::CellsFailed);
-                // Release so a peer (or a retry from the client) can
-                // take another swing at the cell.
-                lease.release();
-                Ok(CellOutcome::Failed {
-                    error: e.to_string(),
-                    attempts,
-                })
-            }
-        };
-    }
-}
-
-/// Errors worth a bounded in-process retry: transient I/O hiccups and
-/// worker panics (which injected faults model as fire-once). Config and
-/// simulation-semantics errors are deterministic — retrying re-fails.
-fn retryable(e: &SrapsError) -> bool {
-    matches!(e, SrapsError::Io(_) | SrapsError::Panic(_))
-}
-
-/// Render a `catch_unwind` payload into the `SrapsError::Panic` message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
-}
-
-/// Exponential backoff before retry `attempt` (1-based), jittered per
-/// cell so simultaneous retries across workers don't re-collide:
-/// ~10 ms · 2^(attempt−1), capped at ~500 ms, ±50% deterministic jitter.
-fn retry_backoff(attempt: u32, salt: usize) -> Duration {
-    let base = 10u64
-        .saturating_mul(1 << attempt.saturating_sub(1).min(6))
-        .min(500);
-    let jitter = faults::splitmix64(0x9e37_79b9_7f4a_7c15 ^ attempt as u64 ^ (salt as u64) << 32)
-        % base.max(1);
-    Duration::from_millis(base / 2 + jitter / 2 + 1)
-}
-
-/// One shared-prefix group: its content key (when a cache is configured)
-/// and the lazily obtained (window, snapshot) pair every member cell
-/// forks from. The [`SimWindow`] rides along because it is the expensive
-/// part of engine construction (cloning and sorting the in-window jobs,
-/// telemetry included) — forks reuse its `Arc`-shared job storage.
-struct PrefixSlot {
-    key: Option<String>,
-    slot: OnceLock<Result<(SimWindow, EngineSnapshot)>>,
-}
-
-impl PrefixSlot {
-    /// The group's window + snapshot — the snapshot loaded from the
-    /// cache's snapshot store, else computed (and stored) — at most once
-    /// per sweep; concurrent member cells block on the first.
-    fn get(
-        &self,
-        cell: &CellSpec,
-        workload: &MaterializedWorkload,
-        switch: SimDuration,
-        cache: Option<&CellCache>,
-    ) -> Result<(&SimWindow, &EngineSnapshot)> {
-        self.slot
-            .get_or_init(|| {
-                let sim = cell.prefix_spec().build_sim(workload)?;
-                let window = SimWindow::new(&sim, &workload.dataset)?;
-                if let (Some(cache), Some(key)) = (cache, self.key.as_deref()) {
-                    if let Some(snap) = cache.load_snapshot(key) {
-                        return Ok((window, snap));
-                    }
-                    let snap = compute_prefix(sim, &window, switch)?;
-                    cache.store_snapshot(key, &snap)?;
-                    return Ok((window, snap));
-                }
-                let snap = compute_prefix(sim, &window, switch)?;
-                Ok((window, snap))
-            })
-            .as_ref()
-            .map(|(window, snap)| (window, snap))
-            .map_err(Clone::clone)
-    }
-}
-
-/// Group late-cap cells by shared prefix key, in matrix order. Pure, so
-/// the plan — and therefore which cells fork — is independent of thread
-/// count and interleaving.
-fn plan_prefixes(
-    cells: &[CellSpec],
-    fingerprints: &[Option<Fingerprint>],
-    cached: bool,
-) -> (Vec<Option<usize>>, Vec<PrefixSlot>) {
-    let mut prefix_of = vec![None; cells.len()];
-    let mut slots: Vec<PrefixSlot> = Vec::new();
-    let mut by_key: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let Some(switch) = cell.late_cap() else {
-            continue;
-        };
-        let Some(wfp) = fingerprints[cell.workload] else {
-            continue;
-        };
-        let key = cell.prefix_fingerprint(wfp, switch).hex();
-        let slot = *by_key.entry(key.clone()).or_insert_with(|| {
-            slots.push(PrefixSlot {
-                key: cached.then_some(key),
-                slot: OnceLock::new(),
-            });
-            slots.len() - 1
-        });
-        prefix_of[i] = Some(slot);
-    }
-    (prefix_of, slots)
-}
-
-/// Simulate an uncapped prefix config up to the switch instant and
-/// snapshot it there. `sim` must be a [`CellSpec::prefix_spec`] config
-/// and `window` its selected window.
-fn compute_prefix(
-    sim: SimConfig,
-    window: &SimWindow,
-    switch: SimDuration,
-) -> Result<EngineSnapshot> {
-    let mut engine = Engine::with_window(sim, window)?;
-    let at = engine.sim_start() + switch;
-    engine.run_until(at)?;
-    engine.snapshot()
-}
-
-/// Run one cell to completion. A late-cap cell *always* goes through
-/// the same snapshot-at-switch → resume-under-cap sequence, whether its
-/// prefix is shared or private — which is what makes prefix sharing
-/// bit-identical to the unshared sweep by construction.
-fn simulate_cell(
-    cell: &CellSpec,
-    workload: &MaterializedWorkload,
-    prefix: Option<&PrefixSlot>,
-    cache: Option<&CellCache>,
-) -> Result<SimOutput> {
-    let Some(switch) = cell.late_cap() else {
-        let sim = cell.build_sim(workload)?;
-        return Engine::new(sim, &workload.dataset)?.run();
-    };
-    let sim = cell.build_sim(workload)?;
-    match prefix {
-        Some(slot) => {
-            let (window, snap) = slot.get(cell, workload, switch, cache)?;
-            Engine::builder(sim)
-                .resume(snap)
-                .build_in_window(window)?
-                .run()
-        }
-        None => {
-            let window = SimWindow::new(&sim, &workload.dataset)?;
-            let snap = compute_prefix(cell.prefix_spec().build_sim(workload)?, &window, switch)?;
-            Engine::builder(sim)
-                .resume(&snap)
-                .build_in_window(&window)?
-                .run()
+            round = round.wrapping_add(1);
         }
     }
 }
@@ -1747,16 +896,6 @@ mod tests {
             Report::from_results(&shared).to_csv(),
             "forked cells must be byte-identical to privately resumed ones"
         );
-        // …and in batched mode, where resumed lanes join the lane groups.
-        let batched =
-            SweepRunner::with_options(2, SweepOptions::new().prefix_share(true).batch(true))
-                .run(&capped_matrix())
-                .unwrap();
-        assert_eq!(
-            Report::from_results(&unshared).to_csv(),
-            Report::from_results(&batched).to_csv(),
-            "batched + prefix-shared sweep diverged"
-        );
     }
 
     #[test]
@@ -1819,6 +958,35 @@ mod tests {
             "defective snapshot was recomputed and rewritten"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn windows_of_one_trace_keep_their_standalone_fingerprints() {
+        // The sweep hashes a dataset shared by several windows once; each
+        // window's key must still be its plan's own fingerprint.
+        let cfg = sraps_systems::presets::lassen();
+        let mut spec = sraps_data::WorkloadSpec::for_system(&cfg, 0.5, 3);
+        spec.span = SimDuration::hours(6);
+        let ds = std::sync::Arc::new(sraps_data::lassen::synthesize(&cfg, &spec));
+        let windows: Vec<crate::PrebuiltWorkload> = (1..4)
+            .map(|h| {
+                let start = ds.capture_start + SimDuration::hours(h);
+                crate::PrebuiltWorkload {
+                    label: format!("w{h}"),
+                    config: cfg.clone(),
+                    dataset: std::sync::Arc::clone(&ds),
+                    window: Some((start, start + SimDuration::hours(1))),
+                }
+            })
+            .collect();
+        let (plans, _) = ExperimentMatrix::scenarios(windows).expand().unwrap();
+        let shared = SweepRunner::new(2)
+            .fingerprint_plans(&plans, &AtomicU64::new(0))
+            .unwrap();
+        for (plan, fp) in plans.iter().zip(&shared) {
+            assert_eq!(*fp, plan.fingerprint().unwrap(), "{}", plan.label());
+        }
+        assert_eq!(shared.iter().collect::<HashSet<_>>().len(), 3);
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Batched-sweep parity suite: `SweepRunner::batched` must be a pure
-//! execution-strategy switch. Reports, CSV/JSON exports, retained
-//! outputs, and cache entries are byte-identical to the per-cell path;
-//! cache hits never enter a lane; and the batched path stays
-//! deterministic across `--jobs` values.
+//! Window-sharing sweep suite. A sweep runs the cells of each workload
+//! as one batch over a single shared simulation window (built once, by
+//! the first cell that misses). Sharing must be invisible: reports,
+//! CSV/JSON exports, retained outputs, and cache entries are
+//! byte-identical to cells simulated alone over windows of their own;
+//! cache hits never reach the simulator; and the result is the same for
+//! any `--jobs` value.
 
-use sraps_exp::{CellCache, ExperimentMatrix, Report, SweepOptions, SweepResults, SweepRunner};
-use sraps_obs::Counter;
+use sraps_core::Engine;
+use sraps_exp::{
+    CellCache, CellJob, CellMetrics, ExperimentMatrix, Probe, Report, Step, SweepOptions,
+    SweepResults, SweepRunner, WorkloadMemo,
+};
 use sraps_types::SimDuration;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -13,7 +18,7 @@ use std::sync::Mutex;
 /// Obs enablement is process-global; profiled tests must not overlap.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// Two workloads × three cells each — grouping has multiple buckets.
+/// Two workloads × three cells each — more than one shared window.
 fn matrix() -> ExperimentMatrix {
     ExperimentMatrix::synthetic(["lassen"])
         .span(SimDuration::hours(2))
@@ -23,7 +28,8 @@ fn matrix() -> ExperimentMatrix {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sraps-batched-{tag}-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("sraps-shared-window-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -65,58 +71,77 @@ fn assert_same_results(a: &SweepResults, b: &SweepResults, what: &str) {
 #[test]
 fn batched_sweep_matches_unbatched_byte_for_byte() {
     let m = matrix();
-    let plain = SweepRunner::new(2).run(&m).unwrap();
-    let batched = SweepRunner::with_options(2, SweepOptions::new().batch(true))
-        .run(&m)
-        .unwrap();
-    assert_same_results(&plain, &batched, "batched vs per-cell");
-    // A lane cap below the bucket size forces chunked groups — still
-    // identical (chunking only changes which engines share a pass).
-    let chunked = SweepRunner::with_options(2, SweepOptions::new().batch(true).batch_max_lanes(2))
-        .run(&m)
-        .unwrap();
-    assert_same_results(&plain, &chunked, "chunked lanes");
-    // Degenerate single-lane groups are per-cell execution in disguise.
-    let single = SweepRunner::with_options(2, SweepOptions::new().batch(true).batch_max_lanes(1))
-        .run(&m)
-        .unwrap();
-    assert_same_results(&plain, &single, "single-lane groups");
+    let shared = SweepRunner::new(2).run(&m).unwrap();
+    // The unshared oracle: every cell materializes its workload and
+    // builds its own window through `Engine::new`.
+    let (plans, cells) = m.expand().unwrap();
+    assert_eq!(shared.cells.len(), cells.len());
+    for (cell, got) in cells.iter().zip(&shared.cells) {
+        let workload = plans[cell.workload].materialize().unwrap();
+        let sim = cell.build_sim(&workload).unwrap();
+        let alone = Engine::new(sim, &workload.dataset).unwrap().run().unwrap();
+        let what = &cell.label;
+        assert_eq!(
+            got.metrics,
+            CellMetrics::from_output(&alone),
+            "{what}: metrics"
+        );
+        let out = got.output.as_ref().expect("full retention");
+        assert_eq!(out.power_csv(), alone.power_csv(), "{what}: power CSV");
+        assert_eq!(out.util_csv(), alone.util_csv(), "{what}: util CSV");
+        assert_eq!(out.outcomes, alone.outcomes, "{what}: outcomes");
+        assert_eq!(out.sched_stats, alone.sched_stats, "{what}: sched stats");
+    }
 }
 
 #[test]
 fn batched_jobs_one_equals_jobs_four() {
     let m = matrix();
-    let serial = SweepRunner::with_options(1, SweepOptions::new().batch(true))
-        .run(&m)
-        .unwrap();
-    let parallel = SweepRunner::with_options(4, SweepOptions::new().batch(true))
-        .run(&m)
-        .unwrap();
-    assert_same_results(&serial, &parallel, "batched --jobs 1 vs --jobs 4");
+    let serial = SweepRunner::new(1).run(&m).unwrap();
+    let parallel = SweepRunner::new(4).run(&m).unwrap();
+    assert_same_results(&serial, &parallel, "--jobs 1 vs --jobs 4");
 }
 
 #[test]
 fn batched_cache_entries_match_unbatched_bytes() {
     let m = matrix();
-    let plain_dir = temp_dir("plain");
-    let batch_dir = temp_dir("batch");
-    let plain = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&plain_dir))
+    let shared_dir = temp_dir("shared");
+    let alone_dir = temp_dir("alone");
+    let shared = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&shared_dir))
         .run(&m)
         .unwrap();
-    let batched =
-        SweepRunner::with_options(2, SweepOptions::new().cache_dir(&batch_dir).batch(true))
-            .run(&m)
-            .unwrap();
-    assert_same_results(&plain, &batched, "cold cached runs");
-    for cell in &plain.cells {
-        let key = cell.cache_key.as_ref().unwrap();
+    // Drive each cell through the pipeline on a memo of its own — the
+    // daemon's path — so no window is shared.
+    let (plans, cells) = m.expand().unwrap();
+    let cache = CellCache::open(&alone_dir).unwrap();
+    let opts = SweepOptions::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let plan = plans[cell.workload].clone();
+        let fp = plan.fingerprint().unwrap();
+        let memo = WorkloadMemo::new(plan, Some(fp));
+        let key = memo.cell_key(cell).unwrap();
+        assert_eq!(shared.cells[i].cache_key.as_deref(), Some(key.as_str()));
+        let job = CellJob {
+            cell,
+            workload: &memo,
+            key: Some(&key),
+            cache: Some(&cache),
+            claims: None,
+            opts: &opts,
+            salt: i,
+            cancel: &|| false,
+        };
+        match job.step(Probe::Counted).unwrap() {
+            Step::Done { from_cache, .. } => assert!(!from_cache, "{}", cell.label),
+            other => panic!("{}: {other:?}", cell.label),
+        }
         let name = format!("{key}.json");
-        let a = std::fs::read(plain_dir.join(&name)).unwrap();
-        let b = std::fs::read(batch_dir.join(&name)).unwrap();
-        assert_eq!(a, b, "cache entry {} differs", cell.spec.label);
+        let a = std::fs::read(shared_dir.join(&name)).unwrap();
+        let b = std::fs::read(alone_dir.join(&name)).unwrap();
+        assert_eq!(a, b, "cache entry {} differs", cell.label);
     }
-    std::fs::remove_dir_all(&plain_dir).ok();
-    std::fs::remove_dir_all(&batch_dir).ok();
+    std::fs::remove_dir_all(&shared_dir).ok();
+    std::fs::remove_dir_all(&alone_dir).ok();
 }
 
 #[test]
@@ -136,27 +161,26 @@ fn warm_cells_are_excluded_from_lanes_in_a_mixed_batch() {
     assert_eq!(warmed.cache_misses(), 2);
 
     sraps_obs::set_profile(true);
-    let mixed = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&dir).batch(true))
+    let mixed = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&dir))
         .run(&matrix())
         .unwrap();
     sraps_obs::set_profile(false);
     assert_eq!(mixed.cache_hits(), 2, "warmed kind hits for both seeds");
     assert_eq!(mixed.cache_misses(), 4);
     for cell in &mixed.cells {
+        let hit = cell.spec.label.ends_with("fcfs-none");
+        assert_eq!(cell.from_cache, hit, "{}", cell.spec.label);
+        // Hits never reach the simulator; only misses run an engine.
+        let profile = cell.profile.as_ref().expect("profiling was on");
         assert_eq!(
-            cell.from_cache,
-            cell.spec.label.ends_with("fcfs-none"),
+            profile.phase("engine.run").is_some(),
+            !hit,
             "{}",
             cell.spec.label
         );
     }
-    // Only the misses entered lanes: `batch.cells` counts simulated
-    // lanes, and the 4 misses split into one group per workload.
-    let profile = mixed.merged_profile().expect("profiling was on");
-    assert_eq!(profile.counter(Counter::BatchCells.name()), 4);
-    assert_eq!(profile.counter(Counter::BatchLanes.name()), 2);
 
-    // And the mixed run's report matches a fully-cold unbatched run.
+    // And the mixed run's report matches a fully-cold uncached run.
     let cold = SweepRunner::new(2).run(&matrix()).unwrap();
     let (rm, rc) = (Report::from_results(&mixed), Report::from_results(&cold));
     assert_eq!(rm.to_csv(), rc.to_csv(), "mixed warm/cold report CSV");
@@ -172,8 +196,7 @@ fn batched_metrics_only_and_spill_survive_hits() {
         SweepOptions::new()
             .cache_dir(&dir)
             .metrics_only(true)
-            .spill_histories(true)
-            .batch(true),
+            .spill_histories(true),
     );
     let cold = runner.run(&matrix()).unwrap();
     assert!(cold.cells.iter().all(|c| c.output.is_none()));

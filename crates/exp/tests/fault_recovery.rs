@@ -3,31 +3,34 @@
 //!
 //! The fault gate is process-global, so these tests live in their own
 //! test binary (no other suite's sweeps can trip an armed plan) and
-//! serialize against each other through `FAULT_GATE`. Every arm is
+//! serialize against each other through `FAULT_GATE`, each holding it
+//! for its whole body — clean reference runs included. Every arm is
 //! wrapped in a guard that disarms on drop, assertion failures included.
 
 use sraps_exp::faults::{self, FaultPlan};
 use sraps_exp::{ExperimentMatrix, Report, SweepOptions, SweepRunner};
 use sraps_types::SimDuration;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 static FAULT_GATE: Mutex<()> = Mutex::new(());
 
-/// Arm `spec` for the guard's lifetime, holding the process-wide gate.
-struct Armed<'a> {
-    _lock: std::sync::MutexGuard<'a, ()>,
-}
-
-fn armed(spec: &str) -> Armed<'_> {
-    let lock = FAULT_GATE
+/// Exclusive use of the process-wide fault plan for one test.
+fn gate() -> MutexGuard<'static, ()> {
+    FAULT_GATE
         .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    faults::arm(FaultPlan::parse(spec).expect("test specs parse"));
-    Armed { _lock: lock }
+        .unwrap_or_else(|poison| poison.into_inner())
 }
 
-impl Drop for Armed<'_> {
+/// Arm `spec` for the guard's lifetime (under the caller's [`gate`]).
+struct Armed;
+
+fn armed(spec: &str) -> Armed {
+    faults::arm(FaultPlan::parse(spec).expect("test specs parse"));
+    Armed
+}
+
+impl Drop for Armed {
     fn drop(&mut self) {
         faults::disarm();
     }
@@ -49,6 +52,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn persistent_panic_degrades_to_failed_cell_and_sweep_continues() {
+    let _gate = gate();
     let _armed = armed("panic@1:persist");
     let results = SweepRunner::new(2).run(&small_matrix()).unwrap();
     assert_eq!(results.cells.len(), 3, "every cell produces a row");
@@ -76,6 +80,7 @@ fn persistent_panic_degrades_to_failed_cell_and_sweep_continues() {
 
 #[test]
 fn fire_once_panic_converges_via_retry() {
+    let _gate = gate();
     let _armed = armed("panic@0");
     let results = SweepRunner::new(2).run(&small_matrix()).unwrap();
     assert!(
@@ -87,6 +92,7 @@ fn fire_once_panic_converges_via_retry() {
 
 #[test]
 fn fail_fast_aborts_on_the_poisoned_cell() {
+    let _gate = gate();
     let _armed = armed("panic@1:persist");
     let err = SweepRunner::with_options(2, SweepOptions::new().fail_fast(true))
         .run(&small_matrix())
@@ -99,6 +105,7 @@ fn fail_fast_aborts_on_the_poisoned_cell() {
 
 #[test]
 fn zero_retries_means_a_single_attempt() {
+    let _gate = gate();
     let _armed = armed("panic@2");
     let results = SweepRunner::with_options(2, SweepOptions::new().retries(0))
         .run(&small_matrix())
@@ -109,6 +116,7 @@ fn zero_retries_means_a_single_attempt() {
 
 #[test]
 fn cache_write_failure_degrades_and_the_cell_still_reports() {
+    let _gate = gate();
     let dir = temp_dir("write-fail");
     let runner = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&dir));
     {
@@ -129,6 +137,7 @@ fn cache_write_failure_degrades_and_the_cell_still_reports() {
 
 #[test]
 fn truncation_fault_self_heals_on_rerun() {
+    let _gate = gate();
     let dir = temp_dir("truncate");
     let runner = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&dir));
     let cold = {
@@ -150,33 +159,38 @@ fn truncation_fault_self_heals_on_rerun() {
 
 #[test]
 fn batched_group_panic_falls_back_to_per_cell_isolation() {
-    let opts = || SweepOptions::new().batch(true);
-    {
-        // Fire-once: the group attempt burns the charge, the per-cell
-        // fallback succeeds — no failures anywhere.
-        let _armed = armed("panic@1");
-        let results = SweepRunner::with_options(2, opts())
-            .run(&small_matrix())
-            .unwrap();
-        assert!(results.cells.iter().all(|c| c.failure.is_none()));
-    }
-    {
-        // Persistent: only the poisoned lane fails; its groupmates
-        // complete through the fallback path.
-        let _armed = armed("panic@1:persist");
-        let results = SweepRunner::with_options(2, opts())
-            .run(&small_matrix())
-            .unwrap();
-        assert_eq!(results.failed_cells().len(), 1);
-        assert!(results.cells[1].failure.is_some());
-        for i in [0, 2] {
-            assert!(results.cells[i].metrics.jobs_completed > 0);
+    let _gate = gate();
+    // All three cells are one workload's group and share its window. A
+    // panic stays with the cell that raised it, on one thread or two.
+    let clean = SweepRunner::new(1).run(&small_matrix()).unwrap();
+    for jobs in [1, 2] {
+        {
+            // Fire-once: the retry succeeds — no failures anywhere.
+            let _armed = armed("panic@1");
+            let results = SweepRunner::new(jobs).run(&small_matrix()).unwrap();
+            assert!(results.cells.iter().all(|c| c.failure.is_none()));
+            assert_eq!(
+                Report::from_results(&clean).to_csv(),
+                Report::from_results(&results).to_csv()
+            );
+        }
+        {
+            // Persistent: only the poisoned cell fails; its groupmates
+            // complete on the shared window.
+            let _armed = armed("panic@1:persist");
+            let results = SweepRunner::new(jobs).run(&small_matrix()).unwrap();
+            assert_eq!(results.failed_cells().len(), 1);
+            assert!(results.cells[1].failure.is_some());
+            for i in [0, 2] {
+                assert_eq!(results.cells[i].metrics, clean.cells[i].metrics);
+            }
         }
     }
 }
 
 #[test]
 fn faulted_cold_run_matches_a_clean_run_byte_for_byte() {
+    let _gate = gate();
     // Panics, retries, and a torn write later, the surviving artifacts
     // must be indistinguishable from a run that never saw a fault.
     let clean = SweepRunner::new(1).run(&small_matrix()).unwrap();

@@ -375,24 +375,31 @@ fn tombstone_rename_race_elects_exactly_one_reclaimer() {
     for round in 0..5 {
         let key = format!("hot{round}");
         write_claim(&base.join(format!("{key}.claim")), "dead:1:0", 1);
+        // The planted claim is stale under any TTL; the winner's fresh
+        // claim must stay live for the whole race even if its heartbeat
+        // thread is starved, or a late racer would reclaim it too.
         let sets: Vec<ClaimSet> = (0..4)
             .map(|_| {
-                ClaimSet::open_with(&base, Duration::from_millis(20), Duration::from_millis(2))
+                ClaimSet::open_with(&base, Duration::from_secs(5), Duration::from_millis(2))
                     .unwrap()
             })
             .collect();
-        let wins: Vec<bool> = std::thread::scope(|s| {
+        // Outcomes (winning leases included) stay alive until every racer
+        // is done: a lease dropped early would release the claim and let
+        // a late racer acquire it afresh.
+        let outcomes: Vec<ClaimOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = sets
                 .iter()
-                .map(|set| {
-                    s.spawn(|| matches!(set.try_acquire(&key).unwrap(), ClaimOutcome::Acquired(_)))
-                })
+                .map(|set| s.spawn(|| set.try_acquire(&key).unwrap()))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        let wins = outcomes
+            .iter()
+            .filter(|o| matches!(o, ClaimOutcome::Acquired(_)))
+            .count();
         assert_eq!(
-            wins.iter().filter(|w| **w).count(),
-            1,
+            wins, 1,
             "round {round}: exactly one of 4 racing reclaimers wins the rename"
         );
     }

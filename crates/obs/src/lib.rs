@@ -92,9 +92,6 @@ pub enum Phase {
     EngineHorizon,
     /// Loop step 4: physics advanced across the span.
     EnginePhysics,
-    /// Batched physics chunk: one pass advancing every lane of a
-    /// `BatchedEngine` by the shared chunk.
-    PhysicsBatched,
     /// Post-loop history grid + stats assembly.
     EngineFinalize,
     /// Scheduler backend `schedule()` body (nests inside `engine.scheduler`).
@@ -115,7 +112,7 @@ pub enum Phase {
     ServeQueueWait,
 }
 
-const PHASE_COUNT: usize = 14;
+const PHASE_COUNT: usize = 13;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
@@ -124,7 +121,6 @@ impl Phase {
         Phase::EngineScheduler,
         Phase::EngineHorizon,
         Phase::EnginePhysics,
-        Phase::PhysicsBatched,
         Phase::EngineFinalize,
         Phase::SchedSchedule,
         Phase::CacheRead,
@@ -142,7 +138,6 @@ impl Phase {
             Phase::EngineScheduler => "engine.scheduler",
             Phase::EngineHorizon => "engine.horizon",
             Phase::EnginePhysics => "engine.physics",
-            Phase::PhysicsBatched => "physics.batched",
             Phase::EngineFinalize => "engine.finalize",
             Phase::SchedSchedule => "sched.schedule",
             Phase::CacheRead => "cache.read",
@@ -203,10 +198,6 @@ pub enum Counter {
     CacheSelfHeals,
     /// Cells claimed off the shared cursor by spawned sweep workers.
     SweepWorkerSteals,
-    /// Lane groups executed by a `BatchedEngine`.
-    BatchLanes,
-    /// Sweep cells simulated inside a batched lane group.
-    BatchCells,
     /// Defective snapshot entries (truncated, corrupt, stale schema)
     /// demoted to misses for recompute-and-rewrite.
     SnapshotSelfHeals,
@@ -243,7 +234,7 @@ pub enum Counter {
     ServeDrained,
 }
 
-const COUNTER_COUNT: usize = 33;
+const COUNTER_COUNT: usize = 31;
 
 impl Counter {
     pub const ALL: [Counter; COUNTER_COUNT] = [
@@ -266,8 +257,6 @@ impl Counter {
         Counter::CacheMisses,
         Counter::CacheSelfHeals,
         Counter::SweepWorkerSteals,
-        Counter::BatchLanes,
-        Counter::BatchCells,
         Counter::SnapshotSelfHeals,
         Counter::ClaimsAcquired,
         Counter::ClaimsStaleReclaimed,
@@ -303,8 +292,6 @@ impl Counter {
             Counter::CacheMisses => "cache.misses",
             Counter::CacheSelfHeals => "cache.self_heals",
             Counter::SweepWorkerSteals => "sweep.worker_steals",
-            Counter::BatchLanes => "batch.lanes",
-            Counter::BatchCells => "batch.cells",
             Counter::SnapshotSelfHeals => "snapshot.self_heals",
             Counter::ClaimsAcquired => "claims.acquired",
             Counter::ClaimsStaleReclaimed => "claims.stale_reclaimed",
@@ -342,8 +329,6 @@ impl Counter {
             Counter::CacheMisses => "sweep cells the cache could not serve",
             Counter::CacheSelfHeals => "defective cache entries demoted to misses",
             Counter::SweepWorkerSteals => "cells claimed by spawned sweep workers",
-            Counter::BatchLanes => "lane groups executed by the batched engine",
-            Counter::BatchCells => "cells simulated inside batched lane groups",
             Counter::SnapshotSelfHeals => "defective snapshot entries demoted to misses",
             Counter::ClaimsAcquired => "cell claim leases acquired by this worker",
             Counter::ClaimsStaleReclaimed => "stale claim leases reclaimed after the TTL",

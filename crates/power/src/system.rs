@@ -72,18 +72,6 @@ impl PowerModel {
             load_fraction,
         }
     }
-
-    /// Batch entry point: one sample per `busy` entry (all with the same
-    /// idle-node count), appended to `out` in order. Each element goes
-    /// through [`PowerModel::sample`] unchanged — callers integrating a
-    /// pre-summed span of busy power get samples bit-identical to the
-    /// per-tick loop, with the model parameters hoisted out of it.
-    pub fn sample_each(&self, busy: &[f64], idle_nodes: u32, out: &mut Vec<PowerSample>) {
-        out.reserve(busy.len());
-        for &busy_power_w in busy {
-            out.push(self.sample(busy_power_w, idle_nodes));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,19 +97,6 @@ mod tests {
         let s = model.sample(busy, 0);
         assert!((s.it_power_kw - cfg.peak_it_power_kw()).abs() < 1e-6);
         assert!((s.load_fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_each_equals_per_call_sample() {
-        let cfg = presets::lassen();
-        let model = PowerModel::new(&cfg);
-        let busy: Vec<f64> = (0..64).map(|i| i as f64 * 37_500.0).collect();
-        let mut batch = Vec::new();
-        model.sample_each(&busy, 7, &mut batch);
-        assert_eq!(batch.len(), busy.len());
-        for (&b, s) in busy.iter().zip(&batch) {
-            assert_eq!(*s, model.sample(b, 7), "bit-identical batch sample");
-        }
     }
 
     #[test]

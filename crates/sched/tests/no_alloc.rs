@@ -14,30 +14,39 @@ use sraps_sched::{
 };
 use sraps_types::{AccountId, JobId, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 /// Obs enablement is process-global; the two tests below must not overlap.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// `System`, with every allocation and reallocation counted.
+/// `System`, with every allocation and reallocation counted per thread:
+/// the test harness allocates on its own threads while a test runs, and
+/// only the thread under test may count.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -49,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn qj(id: u64, submit: i64, nodes: u32, est: i64) -> QueuedJob {
@@ -180,12 +190,20 @@ fn noop_schedule_calls_allocate_nothing() {
 #[test]
 fn noop_schedule_calls_allocate_nothing_with_profiling_enabled() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    /// Profiling goes back off even if an assertion fails, so the other
+    /// test still starts from the default state.
+    struct ProfileOn;
+    impl Drop for ProfileOn {
+        fn drop(&mut self) {
+            sraps_obs::set_profile(false);
+        }
+    }
     sraps_obs::set_profile(true);
+    let _on = ProfileOn;
     // Touch the thread-local recorder once outside the counted window, on
     // the off chance TLS setup itself ever costs an allocation.
     sraps_obs::bump(sraps_obs::Counter::SchedInvocations);
     for (policy, backfill) in COMBOS {
         assert_noop_calls_do_not_allocate(policy, backfill);
     }
-    sraps_obs::set_profile(false);
 }

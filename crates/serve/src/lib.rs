@@ -7,16 +7,16 @@
 //! machine. Re-running `sraps sweep` per question pays process startup,
 //! workload synthesis, and cache probing every time. This crate keeps
 //! one process resident: scenarios (workload plans) register at
-//! startup, their datasets materialize lazily and stay warm, and
-//! queries arrive as newline-delimited JSON over TCP.
+//! startup, their datasets and simulation windows build lazily and stay
+//! warm, and queries arrive as newline-delimited JSON over TCP.
 //!
 //! * Warm queries — cells already in the [`sraps_exp::CellCache`] —
 //!   are answered on the connection thread in microseconds.
-//! * Cold queries run on an in-process worker pool through
-//!   [`sraps_exp::execute_single`], under the same claim-lease
-//!   protocol external `sraps sweep` workers use: co-computation and
-//!   kill-9 recovery come from the protocol, not from daemon-specific
-//!   code.
+//! * Cold queries run on an in-process worker pool through the sweep's
+//!   own cell pipeline ([`sraps_exp::CellJob`]), under the same
+//!   claim-lease protocol external `sraps sweep` workers use:
+//!   co-computation and kill-9 recovery come from the protocol, not
+//!   from daemon-specific code.
 //! * Robustness is first-class: bounded admission with
 //!   reject-plus-retry-after, per-request deadlines with structured
 //!   timeouts, per-client fairness, per-request panic isolation, and

@@ -11,11 +11,12 @@
 //!   touching the queue or a worker.
 //! * **Cold path** — misses go through admission control (bounded
 //!   pending queue, per-client fairness cap, drain check) into an
-//!   in-process worker pool that executes the cell with
-//!   [`sraps_exp::execute_single`] — the *same* claim/retry protocol a
-//!   sweep worker uses, so external `sraps sweep` processes on the same
-//!   cache directory co-compute, and a `kill -9`'d worker's claims are
-//!   reclaimed after the TTL.
+//!   in-process worker pool that drives the cell through
+//!   [`sraps_exp::CellJob::step`] — the *same* cell pipeline a sweep
+//!   worker runs, over the scenario's memoized dataset and window — so
+//!   external `sraps sweep` processes on the same cache directory
+//!   co-compute, and a `kill -9`'d worker's claims are reclaimed after
+//!   the TTL.
 //!
 //! Robustness is first-class: per-request deadlines (client-supplied,
 //! server-capped) cancel queued work on expiry and return a structured
@@ -25,9 +26,8 @@
 //! the obs trace, exit 0. A second signal exits immediately.
 
 use crate::protocol::{Request, Response, StatsBody};
-use sraps_core::Fingerprint;
-use sraps_exp::cell::{CellSpec, MaterializedWorkload, WorkloadPlan};
-use sraps_exp::{execute_single, faults, CellCache, CellOutcome, ClaimSet};
+use sraps_exp::cell::{CellSpec, WorkloadPlan};
+use sraps_exp::{faults, CellCache, CellJob, ClaimSet, Probe, Step, SweepOptions, WorkloadMemo};
 use sraps_obs::{Counter, Phase as ObsPhase};
 use sraps_sched::{BackfillKind, PolicyKind};
 use sraps_types::{signals, Result, SrapsError};
@@ -36,7 +36,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Daemon configuration, fully resolved by the CLI layer.
@@ -82,24 +82,6 @@ impl Default for ServeConfig {
             trace_out: None,
             quiet: false,
         }
-    }
-}
-
-/// A registered scenario: plan + precomputed workload fingerprint, with
-/// the expensive dataset materialized at most once, on first cold query.
-struct Scenario {
-    name: String,
-    plan: WorkloadPlan,
-    fp: Fingerprint,
-    mat: OnceLock<std::result::Result<MaterializedWorkload, String>>,
-}
-
-impl Scenario {
-    fn workload(&self) -> Result<&MaterializedWorkload> {
-        self.mat
-            .get_or_init(|| self.plan.materialize().map_err(|e| e.to_string()))
-            .as_ref()
-            .map_err(|e| SrapsError::Config(format!("materialize scenario '{}': {e}", self.name)))
     }
 }
 
@@ -149,7 +131,11 @@ struct Stats {
 
 struct Server {
     cfg: ServeConfig,
-    scenarios: Vec<Scenario>,
+    /// Registered scenarios, fingerprinted at startup; each dataset and
+    /// window is built at most once, on the scenario's first cold query.
+    scenarios: Vec<WorkloadMemo>,
+    /// What the cell pipeline needs of the sweep options (the retries).
+    cell_opts: SweepOptions,
     by_name: HashMap<String, usize>,
     cache: CellCache,
     claims: ClaimSet,
@@ -183,12 +169,7 @@ pub fn serve(cfg: ServeConfig) -> Result<()> {
         if by_name.insert(name.clone(), scenarios.len()).is_some() {
             return Err(SrapsError::Config(format!("duplicate scenario '{name}'")));
         }
-        scenarios.push(Scenario {
-            name,
-            plan: plan.clone(),
-            fp,
-            mat: OnceLock::new(),
-        });
+        scenarios.push(WorkloadMemo::new(plan.clone(), Some(fp)));
     }
     let cache = CellCache::open(&cfg.cache_dir)?;
     let claims = ClaimSet::open(&cfg.cache_dir)?;
@@ -203,6 +184,7 @@ pub fn serve(cfg: ServeConfig) -> Result<()> {
 
     let server = Arc::new(Server {
         scenarios,
+        cell_opts: SweepOptions::new().retries(cfg.retries),
         by_name,
         cache,
         claims,
@@ -308,8 +290,8 @@ fn drain(server: &Arc<Server>, workers: Vec<std::thread::JoinHandle<()>>) -> Res
     Ok(())
 }
 
-/// Cold-path worker: pop, honor cancellation, execute under the sweep's
-/// claim/retry protocol, deliver.
+/// Cold-path worker: pop, honor cancellation, run the cell pipeline
+/// until the cell settles, deliver.
 fn worker_loop(server: &Arc<Server>) {
     loop {
         let job = {
@@ -343,28 +325,42 @@ fn worker_loop(server: &Arc<Server>) {
             std::thread::sleep(delay);
         }
         let scenario = &server.scenarios[job.scenario];
-        let workload = match scenario.workload() {
-            Ok(w) => w,
-            Err(e) => {
-                job.deliver(Response::error(None, e.to_string()));
-                continue;
+        if let Err(e) = scenario.materialized() {
+            let name = scenario.plan.label();
+            job.deliver(Response::error(
+                None,
+                format!("materialize scenario '{name}': {e}"),
+            ));
+            continue;
+        }
+        let cell = CellJob {
+            cell: &job.cell,
+            workload: scenario,
+            key: Some(&job.key),
+            cache: Some(&server.cache),
+            claims: Some(&server.claims),
+            opts: &server.cell_opts,
+            salt: job.seq,
+            cancel: &|| job.expired(),
+        };
+        // A cell another process is computing: poll with a jittered
+        // backoff until its entry lands (or its dead owner's lease goes
+        // stale and this worker reclaims it).
+        let mut round = 0u32;
+        let outcome = loop {
+            match cell.step(Probe::Recheck) {
+                Ok(Step::Contended) => {
+                    round = round.wrapping_add(1);
+                    std::thread::sleep(server.claims.backoff(&job.key, round));
+                }
+                settled => break settled,
             }
         };
-        let cancel = || job.expired();
-        let outcome = execute_single(
-            &job.cell,
-            &job.key,
-            workload,
-            &server.cache,
-            &server.claims,
-            server.cfg.retries,
-            &cancel,
-            job.seq,
-        );
         let resp = match outcome {
-            Ok(CellOutcome::Done {
+            Ok(Step::Done {
                 metrics,
                 from_cache,
+                ..
             }) => {
                 server.stats.cold_completed.fetch_add(1, Ordering::Relaxed);
                 let mut r = Response::new(None, "ok");
@@ -373,14 +369,15 @@ fn worker_loop(server: &Arc<Server>) {
                 r.metrics = Some(metrics);
                 r
             }
-            Ok(CellOutcome::Failed { error, attempts }) => {
+            Ok(Step::Failed { error, attempts }) => {
                 server.stats.failed.fetch_add(1, Ordering::Relaxed);
                 let mut r = Response::new(None, "failed");
-                r.error = Some(error);
+                r.error = Some(error.to_string());
                 r.attempts = Some(attempts as u64);
                 r
             }
-            Ok(CellOutcome::Canceled) => continue, // conn thread answers timeout
+            // The connection thread answers `timeout`.
+            Ok(Step::Canceled | Step::Contended) => continue,
             Err(e) => Response::error(None, e.to_string()),
         };
         job.deliver(resp);
@@ -516,7 +513,9 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
         Ok(v) => v,
         Err(msg) => return Response::error(id, msg),
     };
-    let key = cell.fingerprint(server.scenarios[scenario_idx].fp).hex();
+    let key = server.scenarios[scenario_idx]
+        .cell_key(&cell)
+        .expect("scenarios are fingerprinted at startup");
 
     // Warm path: answered on this thread, straight from the cache.
     if let Some(hit) = server.cache.load(&key, false) {
