@@ -170,12 +170,9 @@ pub enum Counter {
     /// Replay placements that fell back to first-fit (folded from
     /// `SchedulerStats`).
     SchedPlacementFallbacks,
-    /// Conservative-backfill anchor sweeps over the capacity timeline
-    /// (one per queued job that walked the breakpoint profile).
+    /// Conservative-backfill anchor searches over the free-capacity
+    /// profile (one per queued job the planner searches).
     SchedAnchorSweeps,
-    /// Conservative-backfill jobs anchored by the O(1) min-free fast
-    /// path, skipping the breakpoint walk entirely.
-    SchedPlanFastPaths,
     /// EASY shadow-time reservations computed against the timeline.
     SchedEasyReservations,
     /// Power-cap proposals deferred by the admission loop.
@@ -234,7 +231,7 @@ pub enum Counter {
     ServeDrained,
 }
 
-const COUNTER_COUNT: usize = 31;
+const COUNTER_COUNT: usize = 30;
 
 impl Counter {
     pub const ALL: [Counter; COUNTER_COUNT] = [
@@ -246,7 +243,6 @@ impl Counter {
         Counter::SchedBackfilled,
         Counter::SchedPlacementFallbacks,
         Counter::SchedAnchorSweeps,
-        Counter::SchedPlanFastPaths,
         Counter::SchedEasyReservations,
         Counter::SchedCapDeferrals,
         Counter::QueueResorts,
@@ -281,7 +277,6 @@ impl Counter {
             Counter::SchedBackfilled => "sched.backfilled",
             Counter::SchedPlacementFallbacks => "sched.placement_fallbacks",
             Counter::SchedAnchorSweeps => "sched.anchor_sweeps",
-            Counter::SchedPlanFastPaths => "sched.plan_fast_paths",
             Counter::SchedEasyReservations => "sched.easy_reservations",
             Counter::SchedCapDeferrals => "sched.cap_deferrals",
             Counter::QueueResorts => "queue.resorts",
@@ -317,8 +312,7 @@ impl Counter {
             Counter::SchedRecomputations => "queue-order recomputations",
             Counter::SchedBackfilled => "jobs placed out of order by backfill",
             Counter::SchedPlacementFallbacks => "replay placements that fell back to first-fit",
-            Counter::SchedAnchorSweeps => "conservative anchor sweeps over the timeline",
-            Counter::SchedPlanFastPaths => "conservative jobs anchored by the min-free fast path",
+            Counter::SchedAnchorSweeps => "queued jobs the conservative planner searched",
             Counter::SchedEasyReservations => "EASY shadow-time reservations computed",
             Counter::SchedCapDeferrals => "power-cap proposals deferred",
             Counter::QueueResorts => "full queue re-sorts (order stamp changed)",

@@ -20,6 +20,13 @@
 //! its full width (nodes downed mid-run stay down on release, but the
 //! scheduler's view has always treated estimates as full releases).
 //!
+//! The conservative planner expands the timeline once per call into an
+//! explicit free-capacity profile (breakpoint times with the free nodes
+//! between them) and searches it per queued job with forward scans. The
+//! scans start at a per-class floor: reservations only ever lower the
+//! profile within a call, so a `(nodes, estimate)` class's earliest
+//! feasible start never moves earlier than its previous job's.
+//!
 //! Queries are *bit-identical* to their from-scratch counterparts
 //! ([`backfill::easy_reservation`](crate::backfill::easy_reservation) and
 //! [`backfill::conservative_plan`](crate::backfill::conservative_plan));
@@ -30,7 +37,8 @@ use crate::backfill::Reservation;
 use crate::queue::QueuedJob;
 use crate::scheduler::RunningView;
 use serde::{Deserialize, Serialize};
-use sraps_types::SimTime;
+use sraps_types::{SimDuration, SimTime};
+use std::collections::HashMap;
 
 /// Serializable image of a [`CapacityTimeline`] for engine snapshots.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -155,11 +163,16 @@ impl CapacityTimeline {
     /// per queued job, in queue order, holding earlier jobs' reservations
     /// fixed — exactly
     /// [`backfill::conservative_plan`](crate::backfill::conservative_plan)
-    /// (`SimTime::MAX` for jobs wider than the machine), computed by one
-    /// forward sweep over a free-capacity step profile per job instead of
-    /// a candidate-set collect + sort + per-candidate rescan. Jobs whose
-    /// demand fits under the profile's minimum free capacity skip the
-    /// sweep entirely: they anchor at the first breakpoint in O(1).
+    /// (`SimTime::MAX` for jobs wider than the machine can ever free).
+    ///
+    /// The free capacity is an explicit step profile: distinct breakpoint
+    /// times (every estimated end, plus `now`) with the free nodes holding
+    /// from each until the next. A job's search is two forward scans from
+    /// its class floor (see [`PlanScratch`]): the first breakpoint with
+    /// room, then the first later one that dips below the job's width or
+    /// reaches the end of its window — accept, or restart past the dip.
+    /// A reservation lowers the profile over its window and adds only its
+    /// end breakpoint, since every anchor already is one.
     ///
     /// The profile lives in `scratch` (read the result via
     /// [`PlanScratch::plan`]), so steady-state calls allocate nothing.
@@ -171,108 +184,91 @@ impl CapacityTimeline {
         total_nodes: u32,
         scratch: &mut PlanScratch,
     ) {
-        // Capacity deltas by time, ascending: releases from the running
-        // set, plus `now` as a zero-delta breakpoint so it is a candidate
-        // start. Entries sharing a time are summed before any feasibility
-        // decision (all estimates maturing at an instant release together).
-        let deltas = &mut scratch.deltas;
-        deltas.clear();
-        deltas.extend(self.ends.iter().map(|&(t, n)| (t, n as i64)));
-        let at = deltas.partition_point(|&(t, _)| t < now);
-        deltas.insert(at, (now, 0));
-
-        // Before any reservation lands, every delta is a release (≥ 0),
-        // so free capacity is non-decreasing over the profile and its
-        // minimum sits at the first breakpoint. Maintain that minimum as
-        // a lower bound across reservations (each subtracts at most
-        // `need` everywhere): any job whose demand fits under it anchors
-        // at the first breakpoint with no walk — the sweep below could
-        // never invalidate an anchor the profile never dips under.
-        let t_first = deltas[0].0;
-        let mut min_free = free_now as i64;
-        for &(t, d) in deltas.iter() {
-            if t != t_first {
-                break;
+        let PlanScratch {
+            times,
+            free,
+            floors,
+            plan,
+        } = scratch;
+        // All estimates maturing at an instant release together, and
+        // `now` is a candidate start even when nothing releases then.
+        times.clear();
+        free.clear();
+        let at = self.ends.partition_point(|&(t, _)| t < now);
+        let (before, after) = self.ends.split_at(at);
+        let mut f = free_now as i64;
+        for &(t, n) in before.iter().chain(&[(now, 0)]).chain(after) {
+            f += n as i64;
+            if times.last() == Some(&t) {
+                *free.last_mut().expect("a breakpoint was pushed") = f;
+            } else {
+                times.push(t);
+                free.push(f);
             }
-            min_free += d;
         }
-
-        scratch.plan.clear();
+        floors.clear();
+        plan.clear();
         let mut sweeps = 0u64;
-        let mut fast_paths = 0u64;
         for job in queue {
             if job.nodes > total_nodes {
-                scratch.plan.push(SimTime::MAX);
-                continue;
-            }
-            let need = job.nodes as i64;
-            if need <= min_free {
-                fast_paths += 1;
-                let end = t_first + job.estimate;
-                scratch.plan.push(t_first);
-                deltas.insert(0, (t_first, -need));
-                let at = deltas.partition_point(|&(t, _)| t < end);
-                deltas.insert(at, (end, need));
-                min_free -= need;
+                plan.push(SimTime::MAX);
                 continue;
             }
             sweeps += 1;
-            // Sweep the profile keeping `anchor` = the earliest breakpoint
-            // from which free capacity has stayed ≥ `need`. The moment the
-            // sweep passes `anchor + estimate`, the whole window is
-            // covered and the anchor is the earliest feasible start; a dip
-            // below `need` invalidates it. Feasible starts only ever sit
-            // at capacity *increases* (or `now`), which is exactly the
-            // candidate set the from-scratch planner enumerates.
-            let mut free = free_now as i64;
-            let mut anchor: Option<SimTime> = None;
-            let mut start = None;
-            let mut i = 0;
-            while i < deltas.len() {
-                let t = deltas[i].0;
-                if let Some(a) = anchor {
-                    if t >= a + job.estimate {
-                        start = Some(a);
-                        break;
+            let need = job.nodes as i64;
+            let floor = floors.entry((job.nodes, job.estimate)).or_insert(times[0]);
+            let mut i = times.partition_point(|&t| t < *floor);
+            let start = loop {
+                let Some(k) = free[i..].iter().position(|&f| f >= need) else {
+                    break SimTime::MAX;
+                };
+                i += k;
+                let end = times[i] + job.estimate;
+                let j = times[i + 1..]
+                    .iter()
+                    .zip(&free[i + 1..])
+                    .position(|(&t, &f)| t >= end || f < need)
+                    .map_or(times.len(), |k| i + 1 + k);
+                if j < times.len() && times[j] < end {
+                    // Every anchor before the dip has it inside its window.
+                    i = j + 1;
+                    continue;
+                }
+                // Past the last breakpoint the profile is flat forever, so
+                // `j == len` covers the window whatever the estimate.
+                if end > times[i] {
+                    free[i..j].iter_mut().for_each(|f| *f -= need);
+                    if times.get(j) != Some(&end) {
+                        times.insert(j, end);
+                        free.insert(j, free[j - 1] + need);
                     }
                 }
-                while i < deltas.len() && deltas[i].0 == t {
-                    free += deltas[i].1;
-                    i += 1;
-                }
-                if free < need {
-                    anchor = None;
-                } else if anchor.is_none() {
-                    anchor = Some(t);
-                }
-            }
-            // Past the last breakpoint the profile is flat forever, so a
-            // surviving anchor's window is covered no matter the estimate.
-            let start = start.or(anchor).unwrap_or(SimTime::MAX);
-            scratch.plan.push(start);
-            if start != SimTime::MAX {
-                let end = start + job.estimate;
-                let at = deltas.partition_point(|&(t, _)| t < start);
-                deltas.insert(at, (start, -need));
-                let at = deltas.partition_point(|&(t, _)| t < end);
-                deltas.insert(at, (end, need));
-                // The reservation lowers the profile by at most `need`
-                // anywhere, so the bound stays sound.
-                min_free -= need;
-            }
+                break times[i];
+            };
+            *floor = start;
+            plan.push(start);
         }
         sraps_obs::add(sraps_obs::Counter::SchedAnchorSweeps, sweeps);
-        sraps_obs::add(sraps_obs::Counter::SchedPlanFastPaths, fast_paths);
     }
 }
 
 /// Reusable buffers for [`CapacityTimeline::plan_conservative`]: the
-/// per-call capacity profile and the resulting plan, retained across
-/// scheduler invocations so the conservative hot path stops allocating.
+/// per-call capacity profile, class floors and resulting plan, retained
+/// across scheduler invocations so the conservative hot path stops
+/// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
-    /// (time, capacity delta) breakpoints, ascending by time.
-    deltas: Vec<(SimTime, i64)>,
+    /// Distinct breakpoint times, ascending.
+    times: Vec<SimTime>,
+    /// Free nodes over `[times[i], times[i + 1])` (the last: forever).
+    free: Vec<i64>,
+    /// `(nodes, estimate)` → the last anchor planned for that class this
+    /// call. Within one call the profile only ever decreases (a
+    /// reservation subtracts; a new breakpoint splits a step without
+    /// changing it), so a start infeasible for a class stays infeasible:
+    /// the class's earliest feasible anchor never moves earlier, and its
+    /// next job's search starts here. `SimTime::MAX` once it never fits.
+    floors: HashMap<(u32, SimDuration), SimTime>,
     /// One planned start per queue entry, in queue order.
     plan: Vec<SimTime>,
 }
@@ -375,10 +371,10 @@ mod tests {
 
     #[test]
     fn fast_path_plan_equals_from_scratch() {
-        // Plenty of headroom: the narrow jobs anchor via the O(1)
-        // min-free fast path, the wide one walks the profile; both must
-        // match the from-scratch planner, including the reservations the
-        // fast-pathed jobs leave behind for later queue entries.
+        // Plenty of headroom: the narrow jobs anchor at the first
+        // breakpoint, the wide one searches past their reservations; both
+        // must match the from-scratch planner, including the reservations
+        // the narrow jobs leave behind for later queue entries.
         let running = [view(1, 2, 100), view(2, 3, 200)];
         let t = timeline_of(&running);
         let queue = vec![qj(1, 50), qj(2, 80), qj(14, 30), qj(1, 10)];
@@ -407,5 +403,26 @@ mod tests {
             backfill::conservative_plan(&queue, now, 0, 8, &running).as_slice()
         );
         assert_eq!(scratch.plan()[0], SimTime::seconds(50), "phantom release");
+    }
+
+    #[test]
+    fn zero_estimate_job_reserves_nothing() {
+        // The zero-estimate 12-node job anchors at t=200, between two
+        // 10-node reservations ([100, 200) and [200, 300)). It must leave
+        // the profile untouched: a duplicate breakpoint at t=200 would
+        // read as a dip there, and the long 6-node job, which fits in the
+        // 6 nodes free at every instant, would slip from `now` to t=200.
+        let running = [view(1, 10, 100)];
+        let t = timeline_of(&running);
+        let queue = vec![qj(10, 100), qj(12, 0), qj(10, 100), qj(6, 1_000)];
+        let mut scratch = PlanScratch::new();
+        let now = SimTime::seconds(10);
+        t.plan_conservative(&queue, now, 6, 16, &mut scratch);
+        assert_eq!(
+            scratch.plan(),
+            backfill::conservative_plan(&queue, now, 6, 16, &running).as_slice()
+        );
+        assert_eq!(scratch.plan()[1], SimTime::seconds(200));
+        assert_eq!(scratch.plan()[3], now, "no phantom dip at t=200");
     }
 }

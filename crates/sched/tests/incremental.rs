@@ -165,12 +165,12 @@ proptest! {
         prop_assert_eq!(scratch.plan(), reference.as_slice());
     }
 
-    /// Fast-path-weighted variant: generous headroom and mostly-narrow
-    /// jobs so the O(1) min-free anchor fires for most queue entries,
-    /// with occasional wide jobs forcing the full sweep in between. The
-    /// interleaving matters: fast-pathed reservations must leave the
-    /// profile exactly as a swept placement would, or later sweeps (and
-    /// the from-scratch oracle) diverge.
+    /// High-headroom regime: generous free capacity and mostly-narrow
+    /// jobs, so most queue entries anchor at the first breakpoint, with
+    /// occasional wide jobs searching past their reservations. The
+    /// interleaving matters: every reservation must leave the profile
+    /// exactly as the from-scratch oracle's planned set describes it, or
+    /// later searches diverge.
     #[test]
     fn timeline_conservative_fast_path_equals_from_scratch(
         running in prop::collection::vec((1u32..24, -100i64..2_000), 0..12),
@@ -194,8 +194,8 @@ proptest! {
         let jobs: Vec<QueuedJob> = queue
             .iter()
             .enumerate()
-            // Mostly narrow (fast path under `free` ≥ 64), every fifth
-            // wide enough to need the sweep or be outright infeasible.
+            // Mostly narrow (room at once under `free` ≥ 64), every fifth
+            // wide enough to search past them or be outright infeasible.
             .map(|(i, &(nodes, est, submit))| {
                 let nodes = if i % 5 == 4 { nodes.max(64) } else { nodes % 16 + 1 };
                 qj(i as u64, submit, nodes, est, 0.0)
@@ -203,6 +203,48 @@ proptest! {
             .collect();
         let now = SimTime::seconds(now);
         let total = 255u32;
+        let mut scratch = PlanScratch::new();
+        timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
+        let reference = conservative_plan(&jobs, now, free, total, &views);
+        prop_assert_eq!(scratch.plan(), reference.as_slice());
+    }
+
+    /// Class-floor coverage: a saturated machine (little free, many
+    /// running jobs) and a queue drawn from at most four repeated
+    /// `(nodes, estimate)` classes, zero estimates included, so most
+    /// searches start at the floor an earlier job of their class left.
+    /// The other generators almost never repeat a class.
+    #[test]
+    fn timeline_conservative_class_floors_equal_from_scratch(
+        classes in prop::collection::vec((1u32..40, 0i64..600), 1..5),
+        picks in prop::collection::vec((0usize..4, 0i64..50), 0..41),
+        running in prop::collection::vec((1u32..12, -100i64..2_000), 8..25),
+        now in 0i64..200,
+        free in 0u32..6,
+    ) {
+        let views: Vec<RunningView> = running
+            .iter()
+            .enumerate()
+            .map(|(i, &(n, end))| RunningView {
+                id: JobId(i as u64),
+                nodes: n,
+                estimated_end: SimTime::seconds(end),
+            })
+            .collect();
+        let mut timeline = CapacityTimeline::new();
+        for v in &views {
+            timeline.add(v.estimated_end, v.nodes);
+        }
+        let jobs: Vec<QueuedJob> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(pick, submit))| {
+                let (nodes, est) = classes[pick % classes.len()];
+                qj(i as u64, submit, nodes, est, 0.0)
+            })
+            .collect();
+        let now = SimTime::seconds(now);
+        let total = free + views.iter().map(|v| v.nodes).sum::<u32>();
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
