@@ -375,8 +375,7 @@ impl SimWindow {
     /// (§3.2.2): jobs submitted inside the window become `pending`, jobs
     /// mid-run at the window start become prepopulation candidates.
     pub fn new(sim: &SimConfig, dataset: &Dataset) -> Result<SimWindow> {
-        let sim_start = sim.sim_start.unwrap_or(dataset.capture_start);
-        let sim_end = sim.sim_end.unwrap_or(dataset.capture_end);
+        let (sim_start, sim_end) = dataset.resolve_window(sim.sim_start, sim.sim_end);
         if sim_end <= sim_start {
             return Err(SrapsError::Config(format!(
                 "empty simulation window {sim_start}..{sim_end}"

@@ -51,6 +51,19 @@ impl Dataset {
         self.jobs.is_empty()
     }
 
+    /// The simulation bounds a window request resolves to: an unset bound
+    /// is the capture bound on that side.
+    pub fn resolve_window(
+        &self,
+        start: Option<SimTime>,
+        end: Option<SimTime>,
+    ) -> (SimTime, SimTime) {
+        (
+            start.unwrap_or(self.capture_start),
+            end.unwrap_or(self.capture_end),
+        )
+    }
+
     /// Jobs overlapping `[start, end)` — §3.2.2: "jobs that ended before
     /// start of the simulation time or were submitted after end of the
     /// simulation time are dismissed".

@@ -62,21 +62,17 @@ impl WorkloadPlan {
 
     /// Canonical content fingerprint of the workload this plan produces.
     ///
-    /// Covers every field the simulation can observe — synthetic plans
+    /// Covers every field the simulation can observe. Synthetic plans
     /// hash their generator parameters plus the resolved (scaled) system
-    /// config; prebuilt plans hash the system config, the full dataset
-    /// (every job, telemetry included), and the documented window. Labels
-    /// and groups are cosmetic and deliberately excluded, so renaming a
-    /// study does not orphan its cache entries.
+    /// config. Prebuilt plans hash the system config, the window bounds
+    /// resolved as [`sraps_core::SimWindow::new`] resolves them, and each
+    /// job [`Dataset::jobs_in_window`] selects (telemetry included) in
+    /// dataset order — exactly what the engine reads of a dataset. A
+    /// window of a long trace thus hashes its own jobs, not the whole
+    /// trace, and edits outside the window keep its key. Labels and
+    /// groups are cosmetic and deliberately excluded, so renaming a study
+    /// does not orphan its cache entries.
     pub fn fingerprint(&self) -> Result<Fingerprint> {
-        Ok(self.finish_fingerprint(self.content_hasher()?))
-    }
-
-    /// The fingerprint state before the window: the whole hash of a
-    /// synthetic plan; the system config and the full dataset of a
-    /// prebuilt one — the expensive part, and the same for every window
-    /// of one trace.
-    pub(crate) fn content_hasher(&self) -> Result<Fingerprinter> {
         let mut fp = Fingerprinter::new();
         match self {
             WorkloadPlan::Synthetic {
@@ -98,39 +94,18 @@ impl WorkloadPlan {
                 fp.write_debug(&system_scaled(system, *scale)?);
             }
             WorkloadPlan::Prebuilt(w) => {
-                fp.write_str("prebuilt");
+                let (start, end) = w.window.unzip();
+                let (start, end) = w.dataset.resolve_window(start, end);
+                fp.write_str("prebuilt-window");
                 fp.write_debug(&w.config);
-                fp.write_debug(w.dataset.as_ref());
-            }
-        }
-        Ok(fp)
-    }
-
-    /// Fold a prebuilt plan's window into its content hash.
-    pub(crate) fn finish_fingerprint(&self, mut fp: Fingerprinter) -> Fingerprint {
-        if let WorkloadPlan::Prebuilt(w) = self {
-            match w.window {
-                Some((s, e)) => {
-                    fp.write_u8(1);
-                    fp.write_i64(s.as_secs());
-                    fp.write_i64(e.as_secs());
+                fp.write_i64(start.as_secs());
+                fp.write_i64(end.as_secs());
+                for job in w.dataset.jobs_in_window(start, end) {
+                    fp.write_debug(job);
                 }
-                None => fp.write_u8(0),
             }
         }
-        fp.finish()
-    }
-
-    /// Prebuilt plans with equal keys have equal
-    /// [`WorkloadPlan::content_hasher`] states: the same dataset
-    /// allocation under the same system config.
-    pub(crate) fn shared_content(&self) -> Option<(usize, Fingerprint)> {
-        let WorkloadPlan::Prebuilt(w) = self else {
-            return None;
-        };
-        let mut config = Fingerprinter::new();
-        config.write_debug(&w.config);
-        Some((Arc::as_ptr(&w.dataset) as usize, config.finish()))
+        Ok(fp.finish())
     }
 
     /// Build the dataset. Deterministic: same plan ⇒ identical workload.

@@ -463,8 +463,13 @@ fn heartbeat_loop(shared: &Shared) {
     let interval = (shared.ttl / 4).max(Duration::from_millis(5));
     let mut stop = shared.stop.lock().unwrap();
     loop {
-        let (guard, _timeout) = shared.wake.wait_timeout(stop, interval).unwrap();
-        stop = guard;
+        // The flag is checked before waiting: a drop that signals before
+        // this thread first takes the lock must not wait out an interval.
+        stop = shared
+            .wake
+            .wait_timeout_while(stop, interval, |stop| !*stop)
+            .unwrap()
+            .0;
         if *stop {
             return;
         }
@@ -512,6 +517,21 @@ mod tests {
             ClaimOutcome::Acquired(_)
         ));
         cleanup(&set);
+    }
+
+    #[test]
+    fn dropping_a_fresh_set_does_not_wait_out_a_heartbeat() {
+        // A warm sweep opens and drops its set within milliseconds, so the
+        // drop can signal before the heartbeat thread first waits; the
+        // thread must still see the flag instead of sleeping TTL/4.
+        let started = std::time::Instant::now();
+        for _ in 0..5 {
+            drop(temp_set("fresh", DEFAULT_TTL));
+        }
+        let took = started.elapsed();
+        assert!(took < DEFAULT_TTL / 8, "5 open/drop cycles took {took:?}");
+        let dir = std::env::temp_dir().join(format!("sraps-claims-fresh-{}", std::process::id()));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

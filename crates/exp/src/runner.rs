@@ -24,7 +24,9 @@
 //!    metrics); [`SweepOptions::spill_histories`] optionally parks the
 //!    power/util histories in the cache directory on the way down.
 //!
-//! Plans fingerprint first (cursor-parallel), then every cell runs
+//! Plans fingerprint first (cursor-parallel; a windowed replay hashes
+//! only the jobs its window selects, so W windows of one long trace cost
+//! W scans of the trace plus their own jobs), then every cell runs
 //! through the one cell pipeline ([`crate::pipeline`]) against its
 //! workload's memo: the dataset and the simulation window are built once
 //! per workload, by the first cell that misses.
@@ -48,7 +50,7 @@ use crate::pipeline::{CellJob, Probe, Step, WorkloadMemo};
 use sraps_core::{Fingerprint, SimOutput};
 use sraps_obs::{Counter, Phase as ObsPhase, Profile};
 use sraps_types::{Result, SrapsError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -466,40 +468,14 @@ impl SweepRunner {
     }
 
     /// Every plan's [`WorkloadPlan::fingerprint`], cursor-parallel.
-    /// Prebuilt plans cut from one shared dataset — the windows of a long
-    /// trace — hash that dataset once instead of once per window; the
-    /// keys are the same either way.
     fn fingerprint_plans(
         &self,
         plans: &[WorkloadPlan],
         steals: &AtomicU64,
     ) -> Result<Vec<Fingerprint>> {
-        let mut first: Vec<usize> = Vec::new();
-        let mut by_content = HashMap::new();
-        let group: Vec<usize> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                let fresh = first.len();
-                let g = match plan.shared_content() {
-                    Some(content) => *by_content.entry(content).or_insert(fresh),
-                    None => fresh,
-                };
-                if g == fresh {
-                    first.push(i);
-                }
-                g
-            })
-            .collect();
-        let hashers = run_indexed(self.jobs, first.len(), steals, |g| {
-            plans[first[g]].content_hasher()
-        });
-        let hashers = collect_ordered(hashers)?;
-        Ok(plans
-            .iter()
-            .zip(group)
-            .map(|(plan, g)| plan.finish_fingerprint(hashers[g].clone()))
-            .collect())
+        collect_ordered(run_indexed(self.jobs, plans.len(), steals, |i| {
+            plans[i].fingerprint()
+        }))
     }
 }
 
@@ -962,8 +938,8 @@ mod tests {
 
     #[test]
     fn windows_of_one_trace_keep_their_standalone_fingerprints() {
-        // The sweep hashes a dataset shared by several windows once; each
-        // window's key must still be its plan's own fingerprint.
+        // Windows of one shared trace fingerprint in parallel; each key
+        // must be its plan's own fingerprint, and distinct windows differ.
         let cfg = sraps_systems::presets::lassen();
         let mut spec = sraps_data::WorkloadSpec::for_system(&cfg, 0.5, 3);
         spec.span = SimDuration::hours(6);

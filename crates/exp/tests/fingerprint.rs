@@ -5,9 +5,13 @@
 //! cache silently went stale: bump `ENGINE_SCHEMA_VERSION` and repin).
 
 use proptest::prelude::*;
-use sraps_core::{EngineMode, SchedulerSelect};
-use sraps_exp::{CellSpec, WorkloadPlan};
-use sraps_types::SimDuration;
+use sraps_core::{EngineMode, Fingerprint, SchedulerSelect};
+use sraps_data::{Dataset, WorkloadSpec};
+use sraps_exp::{CellSpec, ExperimentMatrix, PrebuiltWorkload, SweepRunner, WorkloadPlan};
+use sraps_systems::{presets, SystemConfig};
+use sraps_types::job::JobBuilder;
+use sraps_types::{Job, JobTelemetry, SimDuration, SimTime};
+use std::sync::{Arc, OnceLock};
 
 const SYSTEMS: &[&str] = &["frontier", "marconi100", "fugaku", "lassen", "adastra"];
 const POLICIES: &[&str] = &["fcfs", "sjf", "priority"];
@@ -171,6 +175,33 @@ fn golden_keys_pin_the_schema() {
         "5c2a9c083412fd8fa59300c305f18801",
         "workload fingerprint schema drifted"
     );
+
+    // A windowed replay keys on the jobs its window selects. The trace is
+    // hand-built, so this pin depends on the key's serialization alone.
+    let job = |id: u64, submit: i64, start: i64, end: i64| {
+        JobBuilder::new(id)
+            .submit(SimTime::seconds(submit))
+            .window(SimTime::seconds(start), SimTime::seconds(end))
+            .walltime(SimDuration::seconds(2 * (end - start)))
+            .nodes(4)
+            .telemetry(JobTelemetry::from_scalars(0.5, Some(0.25), 900.0))
+            .build()
+    };
+    let ds = Dataset::new(
+        "lassen",
+        vec![
+            job(1, 0, 60, 1_800),        // ends before the window
+            job(2, 600, 1_200, 5_400),   // mid-run at the window start
+            job(3, 4_000, 4_100, 9_000), // submitted inside the window
+            job(4, 9_000, 9_100, 9_900), // submitted after the window
+        ],
+    );
+    let window = (SimTime::seconds(3_600), SimTime::seconds(7_200));
+    assert_eq!(
+        plan_key(prebuilt(&presets::lassen(), ds, Some(window))).hex(),
+        "4a274b27f91362a05e3c0f8c24b134ca",
+        "windowed workload fingerprint schema drifted"
+    );
 }
 
 /// The scheduler axis is hashed too: the same policy through a different
@@ -207,4 +238,159 @@ fn cosmetic_fields_do_not_affect_the_key() {
         scale: 1.0,
     };
     assert_eq!(p.fingerprint().unwrap(), q.fingerprint().unwrap());
+}
+
+/// A small trace for the window-key tests: 6 h of lassen, seed 3.
+fn trace() -> &'static (SystemConfig, Dataset) {
+    static TRACE: OnceLock<(SystemConfig, Dataset)> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let cfg = presets::lassen();
+        let mut spec = WorkloadSpec::for_system(&cfg, 0.7, 3);
+        spec.span = SimDuration::hours(6);
+        let ds = sraps_data::lassen::synthesize(&cfg, &spec);
+        (cfg, ds)
+    })
+}
+
+fn prebuilt(
+    cfg: &SystemConfig,
+    ds: Dataset,
+    window: Option<(SimTime, SimTime)>,
+) -> PrebuiltWorkload {
+    PrebuiltWorkload {
+        label: "window".into(),
+        config: cfg.clone(),
+        dataset: Arc::new(ds),
+        window,
+    }
+}
+
+fn plan_key(w: PrebuiltWorkload) -> Fingerprint {
+    WorkloadPlan::Prebuilt(Box::new(w)).fingerprint().unwrap()
+}
+
+fn window_key(ds: &Dataset, start: SimTime, end: SimTime) -> Fingerprint {
+    plan_key(prebuilt(&trace().0, ds.clone(), Some((start, end))))
+}
+
+/// One edit to one job: its power sample (0), recorded end (1) or
+/// submit time (2), moved by `delta`.
+fn edit(job: &mut Job, kind: usize, delta: i64) {
+    match kind {
+        0 => {
+            let power = job
+                .telemetry
+                .node_power_w
+                .as_mut()
+                .expect("lassen records power");
+            power.values[0] += delta as f32;
+        }
+        1 => job.recorded_end += SimDuration::seconds(delta),
+        _ => job.submit += SimDuration::seconds(delta),
+    }
+}
+
+/// Whether the window `[start, end)` selects job `i` of `ds`.
+fn selects(ds: &Dataset, start: SimTime, end: SimTime, i: usize) -> bool {
+    ds.jobs_in_window(start, end)
+        .any(|j| std::ptr::eq(j, &ds.jobs[i]))
+}
+
+proptest! {
+    /// A window's key covers exactly the jobs the window selects: editing
+    /// one job changes the key iff the window selects that job before or
+    /// after the edit.
+    #[test]
+    fn window_keys_change_iff_a_selected_job_changes(
+        offset in 0i64..6 * 3600,
+        len in 1i64..3 * 3600,
+        pick in 0usize..1 << 20,
+        kind in 0usize..3,
+        delta in 1i64..7200,
+        negate in any::<bool>(),
+    ) {
+        let base = &trace().1;
+        let start = base.capture_start + SimDuration::seconds(offset);
+        let end = start + SimDuration::seconds(len);
+        let i = pick % base.jobs.len();
+        let mut edited = base.clone();
+        edit(&mut edited.jobs[i], kind, if negate { -delta } else { delta });
+        let changed = window_key(base, start, end) != window_key(&edited, start, end);
+        prop_assert_eq!(
+            changed,
+            selects(base, start, end, i) || selects(&edited, start, end, i),
+            "edit {} of job {} in window +{}s..+{}s", kind, i, offset, offset + len
+        );
+    }
+}
+
+/// Moving either bound of a window by one second changes its key, and an
+/// unset window keys as its capture bounds.
+#[test]
+fn window_bounds_are_keyed() {
+    let (cfg, ds) = trace();
+    let start = ds.capture_start + SimDuration::hours(2);
+    let end = start + SimDuration::hours(1);
+    let key = window_key(ds, start, end);
+    let s = SimDuration::seconds(1);
+    for (a, b) in [
+        (start - s, end),
+        (start + s, end),
+        (start, end - s),
+        (start, end + s),
+    ] {
+        assert_ne!(window_key(ds, a, b), key, "window {a}..{b}");
+    }
+    assert_eq!(
+        plan_key(prebuilt(cfg, ds.clone(), None)),
+        window_key(ds, ds.capture_start, ds.capture_end),
+    );
+}
+
+/// Editing a job that ended before the window opens changes neither the
+/// window's key nor what its cells simulate.
+#[test]
+fn jobs_ended_before_the_window_reach_neither_key_nor_metrics() {
+    let (cfg, ds) = trace();
+    let start = ds.capture_start + SimDuration::hours(3);
+    let end = start + SimDuration::hours(1);
+    let i = ds
+        .jobs
+        .iter()
+        .position(|j| j.recorded_end + SimDuration::hours(1) < start)
+        .expect("a job ends an hour before the window");
+    let mut edited = ds.clone();
+    for kind in 0..3 {
+        edit(&mut edited.jobs[i], kind, -600);
+    }
+    assert_eq!(window_key(ds, start, end), window_key(&edited, start, end));
+    let metrics = |ds: &Dataset| {
+        let matrix = ExperimentMatrix::scenario(prebuilt(cfg, ds.clone(), Some((start, end))))
+            .pairs([("fcfs", "easy"), ("replay", "none")])
+            .with_cooling();
+        let results = SweepRunner::new(1).run(&matrix).unwrap();
+        results
+            .cells
+            .into_iter()
+            .map(|c| c.metrics)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(metrics(ds), metrics(&edited));
+}
+
+/// A job mid-run at the window start is a prepopulation candidate: the
+/// window sees it, so editing it changes the key.
+#[test]
+fn jobs_running_at_the_window_start_are_keyed() {
+    let (_, ds) = trace();
+    let start = ds.capture_start + SimDuration::hours(3);
+    let end = start + SimDuration::hours(1);
+    let i = ds
+        .jobs
+        .iter()
+        .position(|j| j.recorded_start < start && j.recorded_end > start)
+        .expect("a job runs across the window start");
+    let mut edited = ds.clone();
+    edit(&mut edited.jobs[i], 0, 100);
+    assert_ne!(window_key(ds, start, end), window_key(&edited, start, end));
 }

@@ -136,10 +136,10 @@ fn incentive_sweep_runs_through_experimental_scheduler() {
 
 #[test]
 fn cache_warms_across_runs_and_matrix_overlaps() {
-    // Prebuilt workloads take the content-hash path (full dataset +
-    // config streamed through the fingerprinter), and overlapping
-    // matrices share cells: a superset matrix only simulates the new
-    // ones.
+    // Prebuilt workloads take the content-hash path (config, window
+    // bounds and the window's jobs streamed through the fingerprinter),
+    // and overlapping matrices share cells: a superset matrix only
+    // simulates the new ones.
     let dir = std::env::temp_dir().join(format!("sraps-itest-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (cfg, ds) = small_workload(0.6, 3, 31);
