@@ -1,8 +1,8 @@
-//! Prefix-sharing benchmark: a late-binding power-cap sweep run per-cell
-//! (every cell privately simulates its own uncapped prefix) vs with
-//! `--prefix-share` (one snapshot forked into every cap branch), plus a
-//! harness that writes `BENCH_sweep_prefix.json` — the repo's
-//! perf-trajectory baseline for snapshot-forked sweeps.
+//! Prefix-sharing benchmark: a late-binding power-cap scan run as one
+//! sweep (every cap forks from one in-memory snapshot of the shared
+//! uncapped prefix) vs one sweep per cell (each cell simulates its own
+//! prefix), plus a harness that writes `BENCH_sweep_prefix.json` — the
+//! repo's perf-trajectory baseline for snapshot-forked sweeps.
 //! Re-run after engine/snapshot/runner changes and commit the JSON:
 //!
 //! ```sh
@@ -15,47 +15,68 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use sraps_exp::{ExperimentMatrix, Report, SweepOptions, SweepRunner};
+use sraps_exp::{ExperimentMatrix, PrebuiltWorkload, SweepOptions, SweepResults, SweepRunner};
 use sraps_types::SimDuration;
 use std::time::Instant;
 
+/// A capacity-planning shape: one uncapped prefix, many candidate caps
+/// binding late in the window. The cap binds at 7/8 of the 48 h span,
+/// so nearly all of every cell's work is the shareable prefix.
 struct Case {
     name: &'static str,
-    matrix: ExperimentMatrix,
-    cells: usize,
+    system: &'static str,
+    load: f64,
+    pairs: &'static [(&'static str, &'static str)],
+    caps: &'static [f64],
 }
 
-/// The benched grids: capacity-planning shapes — one uncapped prefix,
-/// many candidate caps binding late in the window. The cap binds at
-/// 7/8 of the span, so nearly all of every cell's work is the
-/// shareable prefix.
-fn cases() -> Vec<Case> {
-    vec![
-        Case {
-            name: "cap_scan_8way",
-            matrix: ExperimentMatrix::synthetic(["lassen"])
-                .span(SimDuration::hours(48))
-                .loads([0.7])
-                .seed_count(1)
-                .pairs([("fcfs", "easy")])
-                .power_caps_kw(
-                    [800.0, 900.0, 1000.0, 1100.0, 1200.0, 1300.0, 1400.0, 1500.0].map(Some),
-                )
-                .power_cap_at(SimDuration::hours(42)),
-            cells: 8,
-        },
-        Case {
-            name: "cap_scan_2policies",
-            matrix: ExperimentMatrix::synthetic(["adastra"])
-                .span(SimDuration::hours(48))
-                .loads([0.6])
-                .seed_count(1)
-                .pairs([("fcfs", "easy"), ("sjf", "easy")])
-                .power_caps_kw([700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0].map(Some))
-                .power_cap_at(SimDuration::hours(42)),
-            cells: 12,
-        },
-    ]
+const CASES: [Case; 2] = [
+    Case {
+        name: "cap_scan_8way",
+        system: "lassen",
+        load: 0.7,
+        pairs: &[("fcfs", "easy")],
+        caps: &[800.0, 900.0, 1000.0, 1100.0, 1200.0, 1300.0, 1400.0, 1500.0],
+    },
+    Case {
+        name: "cap_scan_2policies",
+        system: "adastra",
+        load: 0.6,
+        pairs: &[("fcfs", "easy"), ("sjf", "easy")],
+        caps: &[700.0, 800.0, 900.0, 1000.0, 1100.0, 1200.0],
+    },
+];
+
+impl Case {
+    /// The case's 48 h workload, synthesized once: every sweep of the
+    /// case, shared or per cell, runs over this one dataset.
+    fn workload(&self) -> PrebuiltWorkload {
+        let (plans, _) = ExperimentMatrix::synthetic([self.system])
+            .span(SimDuration::hours(48))
+            .loads([self.load])
+            .seed_count(1)
+            .expand()
+            .expect("plan");
+        let w = plans[0].materialize().expect("synthesize");
+        PrebuiltWorkload {
+            label: w.label,
+            config: w.config,
+            dataset: w.dataset,
+            window: None,
+        }
+    }
+
+    fn matrix(
+        &self,
+        workload: &PrebuiltWorkload,
+        pairs: &[(&str, &str)],
+        caps: &[f64],
+    ) -> ExperimentMatrix {
+        ExperimentMatrix::scenarios([workload.clone()])
+            .pairs(pairs.iter().copied())
+            .power_caps_kw(caps.iter().copied().map(Some))
+            .power_cap_at(SimDuration::hours(42))
+    }
 }
 
 /// Median wall-time of `n` runs of `f`, in milliseconds.
@@ -81,8 +102,8 @@ struct CaseResult {
     samples: usize,
     unshared_median_ms: f64,
     shared_median_ms: f64,
-    /// unshared / shared: what forking one snapshot saves over every
-    /// cell privately re-simulating the same prefix.
+    /// unshared / shared: what forking one snapshot saves over one sweep
+    /// per cell, each privately simulating the same prefix.
     speedup: f64,
 }
 
@@ -100,45 +121,72 @@ fn bench_sweep_prefix(c: &mut Criterion) {
     let samples = if smoke() { 1 } else { 5 };
     // Serial: total simulated work, not scheduling luck, is the metric.
     let jobs = 1;
+    let runner = SweepRunner::with_options(jobs, SweepOptions::new().metrics_only(true));
     let mut results = Vec::new();
     let mut g = c.benchmark_group("sweep_prefix");
     g.sample_size(samples.max(2));
-    for case in cases() {
-        let opts = SweepOptions::new().metrics_only(true);
-        let unshared = SweepRunner::with_options(jobs, opts.clone());
-        let shared = SweepRunner::with_options(jobs, opts.prefix_share(true));
+    for case in &CASES {
+        let workload = case.workload();
+        let shared = case.matrix(&workload, case.pairs, case.caps);
+        let lone: Vec<ExperimentMatrix> = case
+            .pairs
+            .iter()
+            .flat_map(|pair| {
+                case.caps
+                    .iter()
+                    .map(|cap| case.matrix(&workload, &[*pair], &[*cap]))
+            })
+            .collect();
+        let cells = lone.len();
+        let run_lone = || -> Vec<SweepResults> {
+            lone.iter()
+                .map(|m| runner.run(m).expect("one-cap sweep"))
+                .collect()
+        };
 
         g.bench_function(format!("{}_shared", case.name), |b| {
-            b.iter(|| criterion::black_box(shared.run(&case.matrix).unwrap()))
+            b.iter(|| criterion::black_box(runner.run(&shared).unwrap()))
         });
 
         let unshared_ms = median_ms(samples, || {
-            criterion::black_box(unshared.run(&case.matrix).unwrap());
+            criterion::black_box(run_lone());
         });
         let shared_ms = median_ms(samples, || {
-            criterion::black_box(shared.run(&case.matrix).unwrap());
+            criterion::black_box(runner.run(&shared).unwrap());
         });
 
-        // Byte-parity drift guard: a faster sweep that changed any report
-        // byte would be measuring a different experiment.
-        let a = unshared.run(&case.matrix).expect("unshared sweep");
-        let b = shared.run(&case.matrix).expect("shared sweep");
+        // Parity drift guard: a faster sweep that changed any metric
+        // would be measuring a different experiment. Labels differ
+        // between one-cap and many-cap matrices, so cells pair up by
+        // (policy, backfill, cap).
+        let b = runner.run(&shared).expect("shared sweep");
+        for a in run_lone().iter().flat_map(|r| &r.cells) {
+            let s = &a.spec;
+            let twin = b
+                .cells
+                .iter()
+                .find(|c| {
+                    (&c.spec.policy, &c.spec.backfill, c.spec.power_cap_kw)
+                        == (&s.policy, &s.backfill, s.power_cap_kw)
+                })
+                .expect("cell in the shared sweep");
+            assert_eq!(
+                a.metrics, twin.metrics,
+                "{}: {} drifted from its one-cap run",
+                case.name, twin.spec.label
+            );
+        }
         assert_eq!(
-            Report::from_results(&a).to_csv(),
-            Report::from_results(&b).to_csv(),
-            "{}: shared report CSV drifted from unshared",
+            b.prefix_groups,
+            case.pairs.len(),
+            "{}: one prefix per pair",
             case.name
         );
-        assert!(b.prefix_groups >= 1, "{}: nothing shared", case.name);
-        assert_eq!(
-            b.prefix_forks, case.cells,
-            "{}: not all cells forked",
-            case.name
-        );
+        assert_eq!(b.prefix_forks, cells, "{}: not all cells forked", case.name);
 
         results.push(CaseResult {
             name: case.name.to_string(),
-            cells: case.cells,
+            cells,
             shared_prefixes: b.prefix_groups,
             forks: b.prefix_forks,
             jobs,

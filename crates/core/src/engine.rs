@@ -274,7 +274,7 @@ impl SchedSkip {
 /// [`Engine::new`] shorthand), run with [`Engine::run`] — or drive it
 /// incrementally with [`Engine::run_until`], capture the full state with
 /// [`Engine::snapshot`], and continue a capture via
-/// [`EngineBuilder::resume`] or [`Engine::fork`].
+/// [`EngineBuilder::resume`].
 pub struct Engine {
     sim: SimConfig,
     /// Loop cursor: the next tick instant to visit.
@@ -1305,38 +1305,6 @@ impl Engine {
         })
     }
 
-    /// Fork this engine at its current instant under a (possibly
-    /// different) configuration, sharing the immutable window. The
-    /// original engine is untouched; the fork continues from here.
-    ///
-    /// With the same config the fork finishes bit-identically to the
-    /// original. Late-binding changes — a power cap applied or removed, a
-    /// policy switch — take effect from the forked instant on: scheduler
-    /// state round-trips across compatible backend variants, and the
-    /// queue re-sorts under the new policy exactly once.
-    pub fn fork(&self, sim: SimConfig) -> Result<Engine> {
-        let snap = self.snapshot()?;
-        self.resume_with(sim, &snap)
-    }
-
-    /// Rebuild an engine over this engine's shared window from `snap`
-    /// under `sim`. Like [`Engine::fork`] but reusing a snapshot already
-    /// taken — the prefix-sharing sweep forks K branches from one capture.
-    pub fn resume_with(&self, sim: SimConfig, snap: &EngineSnapshot) -> Result<Engine> {
-        let window = SimWindow {
-            sim_start: self.sim_start,
-            sim_end: self.sim_end,
-            jobs: Arc::clone(&self.jobs),
-            job_index: Arc::clone(&self.job_index),
-            pending: Arc::clone(&self.pending),
-            prepop: Vec::new(),
-            power_estimates: OnceLock::new(),
-        };
-        let mut engine = Engine::bare(sim, &window)?;
-        engine.apply_snapshot(snap)?;
-        Ok(engine)
-    }
-
     /// Overwrite a [`Engine::bare`] engine's state with a snapshot's.
     /// Validates the schema, the window job set, and the config before
     /// touching anything, so a stale or mismatched snapshot is an
@@ -1527,8 +1495,12 @@ pub struct EngineBuilder<'a> {
 impl<'a> EngineBuilder<'a> {
     /// Continue from a previously captured [`EngineSnapshot`] instead of
     /// starting fresh. The snapshot must come from an engine over the
-    /// same dataset window; the config may differ in late-binding axes
-    /// (power cap, policy) — see [`Engine::fork`].
+    /// same dataset window. With the same config the resumed run
+    /// finishes bit-identically to the original. The config may differ
+    /// in late-binding axes — a power cap applied or removed, a policy
+    /// switch — which take effect from the snapshot's instant on:
+    /// scheduler state round-trips across compatible backend variants,
+    /// and the queue re-sorts under the new policy exactly once.
     pub fn resume<'b>(self, snap: &'b EngineSnapshot) -> EngineBuilder<'b> {
         EngineBuilder {
             sim: self.sim,
@@ -1930,9 +1902,18 @@ mod tests {
         prefix
             .run_until(ds.capture_start + SimDuration::hours(1))
             .unwrap();
+        let snap = prefix.snapshot().unwrap();
+        let fork = |sim: SimConfig| {
+            Engine::builder(sim)
+                .resume(&snap)
+                .build(&ds)
+                .unwrap()
+                .run()
+                .unwrap()
+        };
 
         // Fork 1: same config — must finish identically to a straight run.
-        let same = prefix.fork(base.clone()).unwrap().run().unwrap();
+        let same = fork(base.clone());
         let straight = Engine::new(base.clone(), &ds).unwrap().run().unwrap();
         assert_eq!(straight.outcomes, same.outcomes);
         for (a, b) in straight.power.iter().zip(&same.power) {
@@ -1947,10 +1928,11 @@ mod tests {
             .map(|p| p.it_power_kw)
             .fold(0.0, f64::max)
             - idle_kw;
-        let capped_sim = SimConfig::new(cfg, "fcfs", "firstfit")
-            .unwrap()
-            .with_power_cap(peak_job_kw * 0.5);
-        let capped = prefix.fork(capped_sim).unwrap().run().unwrap();
+        let capped = fork(
+            SimConfig::new(cfg, "fcfs", "firstfit")
+                .unwrap()
+                .with_power_cap(peak_job_kw * 0.5),
+        );
         // The shared prefix is bit-identical; afterwards the cap defers work.
         assert_eq!(
             straight.power[0].total_kw, capped.power[0].total_kw,

@@ -41,8 +41,7 @@ use std::fmt;
 /// shadow proposals in their scheduler statistics.
 ///
 /// v3: cell fingerprints gained the late-binding power-cap axis
-/// (`cap_at`), and engine snapshots became cache-addressable under the
-/// same version stamp.
+/// (`cap_at`), and engine snapshots carry the same version stamp.
 pub const ENGINE_SCHEMA_VERSION: u32 = 3;
 
 /// A finished 128-bit fingerprint.

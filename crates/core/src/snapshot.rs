@@ -8,13 +8,12 @@
 //! physical models). Restore goes through
 //! [`crate::EngineBuilder::resume`]; the snapshot carries
 //! [`crate::fingerprint::ENGINE_SCHEMA_VERSION`], so a snapshot written
-//! by an engine whose state layout has since changed is rejected (and
-//! demoted to a cache miss by the sweep's snapshot store) instead of
-//! silently resuming wrong.
+//! by an engine whose state layout has since changed is rejected instead
+//! of silently resuming wrong.
 //!
-//! Because the serialized form is part of the cache contract, the schema
-//! is pinned by a golden fixture in the repo's test suite: any field
-//! change must bump `ENGINE_SCHEMA_VERSION`.
+//! Because `--checkpoint` files outlive the process that wrote them, the
+//! schema is pinned by a golden fixture in the repo's test suite: any
+//! field change must bump `ENGINE_SCHEMA_VERSION`.
 
 use serde::{Deserialize, Serialize};
 use sraps_acct::{Accounts, JobOutcome};

@@ -31,7 +31,6 @@
 
 use crate::metrics::CellMetrics;
 use serde::{Deserialize, Serialize};
-use sraps_core::{EngineSnapshot, ENGINE_SCHEMA_VERSION};
 use sraps_types::{Result, SrapsError};
 use std::path::{Path, PathBuf};
 
@@ -153,41 +152,6 @@ impl CellCache {
             }),
             false,
         )
-    }
-
-    /// Path of the stored prefix snapshot for `key`
-    /// ([`crate::CellSpec::prefix_fingerprint`]).
-    pub fn snapshot_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.snap.json"))
-    }
-
-    /// Look up a stored engine snapshot. Same self-healing discipline as
-    /// [`CellCache::load`]: a missing file is a plain miss; a truncated,
-    /// corrupt, or stale-schema snapshot is demoted to a miss (counted
-    /// under `snapshot.self_heals`) so the prefix is recomputed and the
-    /// entry rewritten — never an error, never a wrong resume.
-    pub fn load_snapshot(&self, key: &str) -> Option<EngineSnapshot> {
-        let _s = sraps_obs::span(sraps_obs::Phase::CacheRead);
-        let text = match std::fs::read_to_string(self.snapshot_path(key)) {
-            Ok(text) => text,
-            Err(_) => return None,
-        };
-        match serde_json::from_str::<EngineSnapshot>(&text) {
-            Ok(snap) if snap.schema == ENGINE_SCHEMA_VERSION => Some(snap),
-            _ => {
-                sraps_obs::bump(sraps_obs::Counter::SnapshotSelfHeals);
-                None
-            }
-        }
-    }
-
-    /// Store an engine snapshot under a prefix key (atomic install, like
-    /// every other entry).
-    pub fn store_snapshot(&self, key: &str, snap: &EngineSnapshot) -> Result<()> {
-        let _s = sraps_obs::span(sraps_obs::Phase::CacheWrite);
-        let json = serde_json::to_string(snap)
-            .map_err(|e| SrapsError::Io(format!("serialize snapshot {key}: {e}")))?;
-        self.write_atomic(&self.snapshot_path(key), json.as_bytes())
     }
 
     /// Store a finished cell, optionally spilling its history CSVs.
@@ -319,56 +283,6 @@ mod tests {
         // Recompute-and-rewrite restores it.
         cache.store("k2", "cell", &metrics(), None).unwrap();
         assert!(cache.load("k2", false).is_some());
-        std::fs::remove_dir_all(cache.dir()).ok();
-    }
-
-    #[test]
-    fn snapshot_roundtrip_self_heals_on_defects() {
-        use crate::cell::WorkloadPlan;
-        use sraps_core::{Engine, SimConfig};
-        use sraps_types::SimDuration;
-
-        let plan = WorkloadPlan::Synthetic {
-            label: "adastra".into(),
-            group: "adastra".into(),
-            system: "adastra".into(),
-            load: 0.4,
-            seed: 3,
-            span: SimDuration::hours(1),
-            scale: 1.0,
-        };
-        let w = plan.materialize().unwrap();
-        let sim = SimConfig::new(w.config.clone(), "fcfs", "easy").unwrap();
-        let mut engine = Engine::new(sim, &w.dataset).unwrap();
-        let mid = engine.sim_start() + SimDuration::minutes(30);
-        engine.run_until(mid).unwrap();
-        let snap = engine.snapshot().unwrap();
-
-        let cache = temp_cache("snap");
-        sraps_obs::set_profile(true);
-        let cap = sraps_obs::capture();
-        assert!(cache.load_snapshot("p0").is_none(), "cold store misses");
-        cache.store_snapshot("p0", &snap).unwrap();
-        let back = cache.load_snapshot("p0").expect("warm store hits");
-        assert_eq!(back.now, snap.now);
-        assert_eq!(back.remaining, snap.remaining);
-
-        // Truncated payload: demoted to a miss, counted as a self-heal.
-        let path = cache.snapshot_path("p0");
-        let full = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(cache.load_snapshot("p0").is_none());
-
-        // Stale engine schema: same demotion — a snapshot written by an
-        // older engine must recompute, never resume wrong.
-        let mut stale = snap.clone();
-        stale.schema += 1;
-        cache.store_snapshot("p0", &stale).unwrap();
-        assert!(cache.load_snapshot("p0").is_none());
-
-        let prof = cap.finish().unwrap();
-        assert_eq!(prof.counter("snapshot.self_heals"), 2);
-        sraps_obs::set_profile(false);
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

@@ -226,6 +226,12 @@ impl CellSpec {
     pub fn fingerprint(&self, workload_fp: Fingerprint) -> Fingerprint {
         let mut fp = Fingerprinter::new();
         fp.write_fingerprint(workload_fp);
+        self.write_axes(&mut fp);
+        fp.finish()
+    }
+
+    /// Hash every sim-relevant schedule-axis field in fixed order.
+    fn write_axes(&self, fp: &mut Fingerprinter) {
         fp.write_str(&self.policy);
         fp.write_str(&self.backfill);
         fp.write_bool(self.cooling);
@@ -250,7 +256,6 @@ impl CellSpec {
             }
             None => fp.write_u8(0),
         }
-        fp.finish()
     }
 
     /// The cap-switch offset, when this cell actually defers a cap:
@@ -271,15 +276,16 @@ impl CellSpec {
         prefix
     }
 
-    /// Cache key of the shared prefix run: the stripped spec's
-    /// fingerprint salted with the switch instant. Every cell whose
-    /// late-binding axes diverge only *after* `switch` maps to the same
-    /// prefix key, which is what makes prefix snapshots addressable in
-    /// the [`crate::CellCache`].
-    pub fn prefix_fingerprint(&self, workload_fp: Fingerprint, switch: SimDuration) -> Fingerprint {
+    /// Key of this cell's prefix run within its workload: the stripped
+    /// spec's schedule axes salted with the switch instant. Cells of one
+    /// workload whose late-binding axes diverge only *after* `switch`
+    /// share the key, and a sweep simulates their prefix once. It has no
+    /// workload part: prefixes are shared only inside one workload's
+    /// [`crate::WorkloadMemo`], never stored.
+    pub fn prefix_fingerprint(&self, switch: SimDuration) -> Fingerprint {
         let mut fp = Fingerprinter::new();
         fp.write_str("prefix");
-        fp.write_fingerprint(self.prefix_spec().fingerprint(workload_fp));
+        self.prefix_spec().write_axes(&mut fp);
         fp.write_i64(switch.as_secs());
         fp.finish()
     }

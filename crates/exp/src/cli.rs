@@ -47,17 +47,16 @@ run shape:
                          (e.g. --power-caps none,1200)
   --cap-at DUR           defer every cell's power cap until DUR past the
                          window start (uncapped cells unaffected); needs a
-                         non-'none' --power-caps value
+                         non-'none' --power-caps value. Cells that differ
+                         only in the cap simulate their shared prefix
+                         once per sweep and fork from an in-memory
+                         snapshot of it (output is identical to running
+                         each cell alone)
   --engine E             event|tick main-loop core for every cell
                          (default event; both produce identical output)
 
 execution & output:
   --jobs N               worker threads (default: all cores)
-  --prefix-share         simulate the shared pre---cap-at prefix once per
-                         group and fork one resumed engine per capped
-                         cell; bit-identical to the unshared sweep (with
-                         --cache the prefix snapshot is stored and reused
-                         across runs); requires --cap-at
   --baseline P-B         baseline cell kind for deltas (default: first cell)
   -o, --output DIR       report directory (default simulation_results/sweep)
   --write-histories      also write per-cell power/util CSVs
@@ -124,8 +123,6 @@ pub struct SweepArgs {
     pub power_caps: Vec<Option<f64>>,
     /// `--cap-at DUR`: defer every cell's cap until this offset.
     pub cap_at: Option<SimDuration>,
-    /// `--prefix-share`: fork capped cells off one shared prefix run.
-    pub prefix_share: bool,
     pub engine: EngineMode,
     pub jobs: Option<usize>,
     pub baseline: Option<String>,
@@ -170,7 +167,6 @@ impl Default for SweepArgs {
             cooling: false,
             power_caps: vec![None],
             cap_at: None,
-            prefix_share: false,
             engine: EngineMode::default(),
             jobs: None,
             baseline: None,
@@ -290,7 +286,6 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 a.cap_at =
                     Some(parse_duration(&v).ok_or_else(|| format!("bad --cap-at value '{v}'"))?);
             }
-            "--prefix-share" => a.prefix_share = true,
             "--engine" => {
                 let v = value(&mut i, "--engine")?;
                 a.engine =
@@ -305,10 +300,11 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 }
                 a.jobs = Some(v);
             }
-            flag @ ("--batch" | "--batch-max-lanes") => {
+            flag @ ("--batch" | "--batch-max-lanes" | "--prefix-share") => {
                 return Err(format!(
                     "{flag} was removed: every sweep builds each workload's window \
-                     once and shares it across the workload's cells"
+                     once and shares it across the workload's cells, and simulates \
+                     each prefix its --cap-at cells share once"
                 ))
             }
             "--baseline" => a.baseline = Some(value(&mut i, "--baseline")?),
@@ -360,13 +356,6 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     }
     if a.cap_at.is_some() && !a.power_caps.iter().any(Option::is_some) {
         return Err("--cap-at needs at least one non-'none' --power-caps value".into());
-    }
-    if a.prefix_share && a.cap_at.is_none() {
-        return Err(
-            "--prefix-share needs --cap-at (there is no shared prefix without \
-             a late-binding axis)"
-                .into(),
-        );
     }
     Ok(a)
 }
@@ -454,7 +443,6 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
     let mut opts = SweepOptions::new()
         .progress(!a.quiet)
         .metrics_only(a.metrics_only)
-        .prefix_share(a.prefix_share)
         .claims(a.claims)
         .fail_fast(a.fail_fast);
     if let Some(retries) = a.retries {
@@ -555,7 +543,7 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
             dir.display()
         );
     }
-    if a.prefix_share {
+    if results.prefix_groups > 0 {
         // The CI snapshot-parity job greps this line.
         println!(
             "prefix: {} shared prefixes across {} cells",
@@ -727,11 +715,20 @@ mod tests {
 
     #[test]
     fn batch_flags_parse() {
-        // Scripts passing the removed batching flags get an error that
-        // says why, not a silent run of something else.
+        // Scripts passing the removed batching and prefix-sharing flags
+        // get an error that says why, not a silent run of something else.
         for args in [
             &["--system", "lassen", "--batch"][..],
             &["--system", "lassen", "--batch-max-lanes", "8"][..],
+            &[
+                "--system",
+                "lassen",
+                "--power-caps",
+                "1200",
+                "--cap-at",
+                "45m",
+                "--prefix-share",
+            ][..],
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains("was removed"), "{err}");
@@ -739,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn cap_at_and_prefix_share_parse_with_validation() {
+    fn cap_at_parses_with_validation() {
         let a = parse(&[
             "--system",
             "lassen",
@@ -747,11 +744,9 @@ mod tests {
             "none,1200",
             "--cap-at",
             "45m",
-            "--prefix-share",
         ])
         .unwrap();
         assert_eq!(a.cap_at, Some(SimDuration::minutes(45)));
-        assert!(a.prefix_share);
         let m = build_matrix(&a).unwrap();
         assert_eq!(m.cell_count(), 2);
 
@@ -768,17 +763,6 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("non-'none' --power-caps"), "{err}");
-
-        // --prefix-share without --cap-at has nothing to share.
-        let err = parse(&[
-            "--system",
-            "lassen",
-            "--power-caps",
-            "1200",
-            "--prefix-share",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--prefix-share needs --cap-at"), "{err}");
 
         assert!(parse(&["--system", "lassen", "--cap-at", "bogus"]).is_err());
     }

@@ -69,8 +69,8 @@ pub struct ExperimentMatrix {
     cooling: Vec<bool>,
     power_caps_kw: Vec<Option<f64>>,
     /// Cap-switch offset: capped cells bind their cap only from
-    /// `sim_start + cap_at` (the prefix before it is shared — see
-    /// [`crate::SweepOptions::prefix_share`]).
+    /// `sim_start + cap_at`; cells that differ only in the cap share the
+    /// prefix before it (see [`ExperimentMatrix::power_cap_at`]).
     cap_at: Option<SimDuration>,
     scheduler: SchedulerSelect,
     /// Main-loop core for every cell (default: the hybrid event core).
@@ -228,9 +228,10 @@ impl ExperimentMatrix {
     }
 
     /// Defer every cell's power cap until `at` past the window start
-    /// (uncapped cells are unaffected). Cells that differ only in the
-    /// cap value then share their pre-switch prefix, which
-    /// [`crate::SweepOptions::prefix_share`] simulates once and forks.
+    /// (uncapped cells are unaffected). Cells of one workload that differ
+    /// only in the cap value then share their pre-switch prefix: the
+    /// sweep simulates it once, snapshots it in memory, and resumes each
+    /// cell from the snapshot under its own cap.
     pub fn power_cap_at(mut self, at: SimDuration) -> Self {
         self.cap_at = Some(at);
         self
@@ -564,11 +565,15 @@ mod tests {
         assert_ne!(plain[1].fingerprint(wfp), deferred[1].fingerprint(wfp));
         // The shared prefix of a deferred-cap cell keys like its uncapped
         // sibling's simulation prefix — cap stripped, switch salted in.
-        let pfp = deferred[1].prefix_fingerprint(wfp, SimDuration::minutes(30));
+        let pfp = deferred[1].prefix_fingerprint(SimDuration::minutes(30));
         assert_eq!(
             pfp,
-            deferred[0].prefix_fingerprint(wfp, SimDuration::minutes(30)),
+            deferred[0].prefix_fingerprint(SimDuration::minutes(30)),
             "cells differing only in cap share one prefix key"
+        );
+        assert_ne!(
+            pfp,
+            deferred[1].prefix_fingerprint(SimDuration::minutes(20))
         );
         assert_ne!(pfp, deferred[0].fingerprint(wfp));
     }

@@ -4,9 +4,9 @@
 //!
 //! * [`WorkloadMemo`] is a workload's memo chain: its dataset, then the
 //!   [`SimWindow`] every cell of the workload runs in, then the prefix
-//!   snapshots its late-cap cells fork from. Each link is built at most
-//!   once, by the first cell that needs it; concurrent cells block on it
-//!   and then share it.
+//!   snapshots that two or more of its late-cap cells fork from. Each
+//!   link is built at most once, by the first cell that needs it;
+//!   concurrent cells block on it and then share it.
 //! * [`CellJob::step`] is the cell state machine: probe the cache, claim
 //!   a miss, re-check under the lease, simulate inside `catch_unwind`
 //!   with bounded jittered retries, write back, release. Its `cancel`
@@ -30,33 +30,42 @@ use sraps_obs::Counter;
 use sraps_types::{Result, SrapsError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
-
-type PrefixSlot = Arc<OnceLock<Result<Arc<EngineSnapshot>>>>;
 
 /// One workload and everything derived from it, each built at most once
 /// on first use — a fully warm cached sweep builds none of it.
 pub struct WorkloadMemo {
     pub plan: WorkloadPlan,
     /// The plan's fingerprint, when cells are keyed by content (a cache
-    /// or prefix sharing is in play).
+    /// is in play).
     pub fp: Option<Fingerprint>,
     dataset: OnceLock<Result<MaterializedWorkload>>,
     window: OnceLock<Result<SimWindow>>,
-    /// Prefix snapshots by prefix fingerprint (prefix sharing only).
-    prefixes: Mutex<HashMap<Fingerprint, PrefixSlot>>,
+    /// Shared prefix snapshots by [`CellSpec::prefix_fingerprint`]: one
+    /// slot per prefix that two or more cells fork from, fixed before
+    /// any cell runs. A late-cap cell whose prefix has no slot simulates
+    /// it privately.
+    prefixes: HashMap<Fingerprint, OnceLock<Result<EngineSnapshot>>>,
 }
 
 impl WorkloadMemo {
+    /// A memo that shares no prefixes.
     pub fn new(plan: WorkloadPlan, fp: Option<Fingerprint>) -> Self {
         WorkloadMemo {
             plan,
             fp,
             dataset: OnceLock::new(),
             window: OnceLock::new(),
-            prefixes: Mutex::new(HashMap::new()),
+            prefixes: HashMap::new(),
         }
+    }
+
+    /// Give each prefix key in `keys` a shared snapshot slot: the first
+    /// cell that forks from it simulates the prefix, the rest reuse it.
+    pub(crate) fn share_prefixes(mut self, keys: impl IntoIterator<Item = Fingerprint>) -> Self {
+        self.prefixes = keys.into_iter().map(|k| (k, OnceLock::new())).collect();
+        self
     }
 
     /// Content key of `cell` over this workload, when it has a
@@ -81,30 +90,6 @@ impl WorkloadMemo {
             .get_or_init(|| SimWindow::new(sim, dataset))
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    /// The prefix snapshot under `key`: loaded from the cache's snapshot
-    /// store, else computed (and stored) — once per memo; the cells that
-    /// fork from it block on the first.
-    fn prefix(
-        &self,
-        key: Fingerprint,
-        cache: Option<&CellCache>,
-        compute: impl FnOnce() -> Result<EngineSnapshot>,
-    ) -> Result<Arc<EngineSnapshot>> {
-        let slot = Arc::clone(self.prefixes.lock().unwrap().entry(key).or_default());
-        slot.get_or_init(|| {
-            let hex = key.hex();
-            if let Some(snap) = cache.and_then(|c| c.load_snapshot(&hex)) {
-                return Ok(Arc::new(snap));
-            }
-            let snap = compute()?;
-            if let Some(cache) = cache {
-                cache.store_snapshot(&hex, &snap)?;
-            }
-            Ok(Arc::new(snap))
-        })
-        .clone()
     }
 }
 
@@ -165,7 +150,7 @@ pub struct CellJob<'a> {
     pub key: Option<&'a str>,
     pub cache: Option<&'a CellCache>,
     pub claims: Option<&'a ClaimSet>,
-    /// Retries, history spill, and prefix sharing.
+    /// Retries and history spill.
     pub opts: &'a SweepOptions,
     /// Fault-injection index and retry-jitter salt: the sweep's cell
     /// index, the daemon's request sequence number.
@@ -269,9 +254,9 @@ impl CellJob<'_> {
 
     /// One simulation attempt over the workload's shared window. A
     /// late-cap cell always snapshots at the switch and resumes under the
-    /// cap — from the memo's shared prefix with prefix sharing on, from a
-    /// private one otherwise — which makes sharing bit-identical to not
-    /// sharing by construction.
+    /// cap — from the memo's shared prefix when other cells fork from it
+    /// too, from a private one otherwise — which makes sharing
+    /// bit-identical to not sharing by construction.
     fn simulate(&self, workload: &MaterializedWorkload) -> Result<SimOutput> {
         let cell = self.cell;
         let sim = cell.build_sim(workload)?;
@@ -285,15 +270,16 @@ impl CellJob<'_> {
             engine.run_until(at)?;
             engine.snapshot()
         };
-        let snap = match self.workload.fp.filter(|_| self.opts.prefix_share) {
-            Some(wfp) => {
-                let key = cell.prefix_fingerprint(wfp, switch);
-                self.workload.prefix(key, self.cache, prefix)?
+        let private;
+        let snap = match self.workload.prefixes.get(&cell.prefix_fingerprint(switch)) {
+            Some(slot) => slot.get_or_init(prefix).as_ref().map_err(Clone::clone)?,
+            None => {
+                private = prefix()?;
+                &private
             }
-            None => Arc::new(prefix()?),
         };
         Engine::builder(sim)
-            .resume(&snap)
+            .resume(snap)
             .build_in_window(window)?
             .run()
     }

@@ -29,7 +29,10 @@
 //! W scans of the trace plus their own jobs), then every cell runs
 //! through the one cell pipeline ([`crate::pipeline`]) against its
 //! workload's memo: the dataset and the simulation window are built once
-//! per workload, by the first cell that misses.
+//! per workload, by the first cell that misses. Late-cap cells
+//! ([`crate::ExperimentMatrix::power_cap_at`]) that share an uncapped
+//! prefix fork from one in-memory snapshot of it, simulated once per
+//! sweep; a prefix only one cell needs is simulated privately.
 //!
 //! A fourth property rides on top of the original three —
 //! **crash-safety**: with a cache directory configured, every miss is
@@ -50,7 +53,7 @@ use crate::pipeline::{CellJob, Probe, Step, WorkloadMemo};
 use sraps_core::{Fingerprint, SimOutput};
 use sraps_obs::{Counter, Phase as ObsPhase, Profile};
 use sraps_types::{Result, SrapsError};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -115,9 +118,10 @@ pub struct SweepResults {
     /// Work items (plans + cells) claimed off the shared cursor by
     /// *spawned* worker threads — 0 on the serial fast path.
     pub worker_steals: u64,
-    /// Shared-prefix groups formed when prefix sharing was enabled.
+    /// Prefixes that two or more late-cap cells of one workload share,
+    /// each simulated once — a pure function of the matrix.
     pub prefix_groups: usize,
-    /// Cells that ran as forks of a shared prefix.
+    /// Cells that forked from one of those shared prefixes.
     pub prefix_forks: usize,
 }
 
@@ -218,16 +222,6 @@ pub struct SweepOptions {
     /// — how `--write-histories` survives metrics-only and cached
     /// sweeps.
     pub spill_histories: bool,
-    /// Prefix sharing: cells that differ only in late-binding axes (a
-    /// power cap deferred by [`crate::ExperimentMatrix::power_cap_at`])
-    /// simulate their common pre-switch prefix once, snapshot it, and
-    /// fork one resumed engine per cell. With a cache directory the
-    /// prefix snapshot is also stored content-addressed
-    /// ([`crate::CellSpec::prefix_fingerprint`]), so later sweeps fork
-    /// without re-simulating the prefix at all. Output is bit-identical
-    /// to unshared runs: the unshared path executes the same
-    /// snapshot/restore sequence privately.
-    pub prefix_share: bool,
     /// Lease each cache miss via a `<key>.claim` file before simulating
     /// (requires `cache_dir`; on by default) so cooperating processes
     /// sharing one cache directory never simulate the same cell twice.
@@ -250,7 +244,6 @@ impl Default for SweepOptions {
             cache_dir: None,
             metrics_only: false,
             spill_histories: false,
-            prefix_share: false,
             claims: true,
             retries: 2,
             fail_fast: false,
@@ -280,11 +273,6 @@ impl SweepOptions {
 
     pub fn spill_histories(mut self, on: bool) -> Self {
         self.spill_histories = on;
-        self
-    }
-
-    pub fn prefix_share(mut self, on: bool) -> Self {
-        self.prefix_share = on;
         self
     }
 
@@ -372,12 +360,12 @@ impl SweepRunner {
         };
 
         // Phase 1: plan fingerprints, when cells are keyed by content (a
-        // cache, or prefix sharing). Synthetic plans fingerprint without
-        // building their dataset, so a fully warm sweep synthesizes
-        // nothing; datasets materialize when a cell actually misses.
+        // cache). Synthetic plans fingerprint without building their
+        // dataset, so a fully warm sweep synthesizes nothing; datasets
+        // materialize when a cell actually misses.
         // Uncached sweeps simulate every cell, so they materialize every
         // dataset up front and phase 2 saturates immediately.
-        let fingerprints = if cache.is_some() || self.opts.prefix_share {
+        let fingerprints = if cache.is_some() {
             self.fingerprint_plans(&plans, &steals)?
                 .into_iter()
                 .map(Some)
@@ -385,10 +373,27 @@ impl SweepRunner {
         } else {
             vec![None; plans.len()]
         };
+        // Late-cap cells fork from a snapshot of their uncapped prefix.
+        // Each prefix that two or more cells of a workload share gets a
+        // slot in the workload's memo, so it is simulated once.
+        let mut forks: Vec<HashMap<Fingerprint, usize>> = vec![HashMap::new(); plans.len()];
+        for cell in &cells {
+            if let Some(switch) = cell.late_cap() {
+                *forks[cell.workload]
+                    .entry(cell.prefix_fingerprint(switch))
+                    .or_default() += 1;
+            }
+        }
+        forks.iter_mut().for_each(|f| f.retain(|_, n| *n >= 2));
+        let prefix_groups = forks.iter().map(HashMap::len).sum();
+        let prefix_forks = forks.iter().flat_map(HashMap::values).sum();
         let workloads: Vec<WorkloadMemo> = plans
             .into_iter()
             .zip(fingerprints)
-            .map(|(plan, fp)| WorkloadMemo::new(plan, fp))
+            .zip(forks)
+            .map(|((plan, fp), shared)| {
+                WorkloadMemo::new(plan, fp).share_prefixes(shared.into_keys())
+            })
             .collect();
         if cache.is_none() {
             let built = run_indexed(self.jobs, workloads.len(), &steals, |i| {
@@ -442,19 +447,6 @@ impl SweepRunner {
                 SrapsError::Config("internal: a deferred sweep cell was never resolved".into())
             })?;
 
-        // Prefix-sharing stats: a pure function of the expanded matrix,
-        // identical for any `--jobs` value.
-        let forks: Vec<Fingerprint> = if self.opts.prefix_share {
-            cells
-                .iter()
-                .filter_map(|c| {
-                    Some(c.prefix_fingerprint(workloads[c.workload].fp?, c.late_cap()?))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         Ok(SweepResults {
             cells: results,
             workload_labels: workloads.iter().map(|w| w.plan.label()).collect(),
@@ -462,8 +454,8 @@ impl SweepRunner {
             jobs: self.jobs,
             cache_dir: self.opts.cache_dir.clone(),
             worker_steals: steals.into_inner(),
-            prefix_groups: forks.iter().collect::<HashSet<_>>().len(),
-            prefix_forks: forks.len(),
+            prefix_groups,
+            prefix_forks,
         })
     }
 
@@ -683,6 +675,7 @@ mod tests {
     use crate::matrix::ExperimentMatrix;
     use crate::report::Report;
     use sraps_types::SimDuration;
+    use std::collections::HashSet;
 
     fn small_matrix() -> ExperimentMatrix {
         ExperimentMatrix::synthetic(["lassen"])
@@ -848,30 +841,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Caps on job power low enough to bind after the switch (each
+    /// raises the mean wait), so a fork that resumed under the wrong cap
+    /// would show.
     fn capped_matrix() -> ExperimentMatrix {
         ExperimentMatrix::synthetic(["lassen"])
             .span(SimDuration::hours(2))
             .loads([0.5])
             .seed_count(1)
             .pairs([("fcfs", "easy")])
-            .power_caps_kw([None, Some(900.0), Some(1100.0), Some(1300.0)])
+            .power_caps_kw([None, Some(20.0), Some(40.0), Some(60.0)])
             .power_cap_at(SimDuration::minutes(60))
     }
 
     #[test]
-    fn prefix_sharing_is_bit_identical_to_unshared() {
-        let unshared = SweepRunner::new(2).run(&capped_matrix()).unwrap();
-        assert_eq!(unshared.prefix_groups, 0, "sharing off forms no groups");
-        let shared = SweepRunner::with_options(2, SweepOptions::new().prefix_share(true))
-            .run(&capped_matrix())
-            .unwrap();
-        assert_eq!(shared.prefix_groups, 1, "three capped cells, one prefix");
-        assert_eq!(shared.prefix_forks, 3);
-        assert_eq!(
-            Report::from_results(&unshared).to_csv(),
-            Report::from_results(&shared).to_csv(),
-            "forked cells must be byte-identical to privately resumed ones"
-        );
+    fn late_cap_forks_equal_one_cap_runs() {
+        // In the matrix the three capped cells fork from one shared
+        // prefix; run as a one-cap matrix, each simulates its own. Both
+        // execute snapshot-at-switch → resume-under-cap, so every cell
+        // must match its lone run byte for byte.
+        let matrix = SweepRunner::new(2).run(&capped_matrix()).unwrap();
+        assert_eq!(matrix.prefix_groups, 1, "three capped cells, one prefix");
+        assert_eq!(matrix.prefix_forks, 3);
+        let waits: HashSet<u64> = matrix
+            .cells
+            .iter()
+            .map(|c| c.metrics.avg_wait_secs.to_bits())
+            .collect();
+        assert_eq!(waits.len(), 4, "every cap binds, each differently");
+        for cell in &matrix.cells {
+            let lone = capped_matrix().power_caps_kw([cell.spec.power_cap_kw]);
+            let lone = SweepRunner::new(1).run(&lone).unwrap();
+            assert_eq!(lone.prefix_groups, 0, "a lone cell shares no prefix");
+            let alone = &lone.cells[0];
+            assert_eq!(cell.metrics, alone.metrics, "{}", cell.spec.label);
+            let (a, b) = (
+                cell.output.as_ref().unwrap(),
+                alone.output.as_ref().unwrap(),
+            );
+            assert_eq!(a.power_csv(), b.power_csv(), "{}", cell.spec.label);
+            assert_eq!(a.util_csv(), b.util_csv(), "{}", cell.spec.label);
+        }
     }
 
     #[test]
@@ -897,42 +907,28 @@ mod tests {
     }
 
     #[test]
-    fn prefix_snapshots_are_cached_and_reused() {
+    fn cached_capped_sweep_writes_no_snapshots() {
         let dir = temp_dir("prefix-cache");
-        let runner =
-            SweepRunner::with_options(2, SweepOptions::new().cache_dir(&dir).prefix_share(true));
+        let runner = SweepRunner::with_options(2, SweepOptions::new().cache_dir(&dir));
         let cold = runner.run(&capped_matrix()).unwrap();
         assert_eq!(cold.cache_misses(), 4);
-        let cache = CellCache::open(&dir).unwrap();
-        // The shared prefix was stored under its own content key…
-        let snaps: Vec<_> = std::fs::read_dir(&dir)
+        assert_eq!(cold.prefix_forks, 3);
+        let snapshots = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().ends_with(".snap.json"))
-            .collect();
-        assert_eq!(snaps.len(), 1, "one prefix group ⇒ one stored snapshot");
-        let key = snaps[0]
-            .file_name()
-            .to_string_lossy()
-            .trim_end_matches(".snap.json")
-            .to_string();
-        assert!(cache.load_snapshot(&key).is_some());
-        // …and a truncated snapshot self-heals: the sweep still succeeds
-        // (recomputing the prefix) and rewrites the entry.
-        let path = cache.snapshot_path(&key);
-        let full = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let _ = std::fs::remove_file(dir.join(format!(
-            "{}.json",
-            cold.cells[1].cache_key.as_ref().unwrap()
-        )));
-        let healed = runner.run(&capped_matrix()).unwrap();
-        assert_eq!(healed.cache_hits(), 3, "only the deleted cell re-runs");
-        assert_eq!(healed.cells[1].metrics, cold.cells[1].metrics);
-        assert!(
-            cache.load_snapshot(&key).is_some(),
-            "defective snapshot was recomputed and rewritten"
-        );
+            .count();
+        assert_eq!(snapshots, 0, "shared prefixes live in memory only");
+        // Evicting one capped entry re-simulates that cell alone, and it
+        // reproduces its cold metrics.
+        let evicted = CellCache::open(&dir)
+            .unwrap()
+            .entry_path(cold.cells[1].cache_key.as_ref().unwrap());
+        std::fs::remove_file(evicted).unwrap();
+        let rerun = runner.run(&capped_matrix()).unwrap();
+        assert_eq!(rerun.cache_hits(), 3, "only the evicted cell re-runs");
+        assert!(rerun.cells[1].output.is_some(), "the miss re-simulated");
+        assert_eq!(rerun.cells[1].metrics, cold.cells[1].metrics);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -195,9 +195,6 @@ pub enum Counter {
     CacheSelfHeals,
     /// Cells claimed off the shared cursor by spawned sweep workers.
     SweepWorkerSteals,
-    /// Defective snapshot entries (truncated, corrupt, stale schema)
-    /// demoted to misses for recompute-and-rewrite.
-    SnapshotSelfHeals,
     /// Cell claim leases acquired (this process owns the simulation).
     ClaimsAcquired,
     /// Stale claim leases (heartbeat older than the TTL) reclaimed from
@@ -231,7 +228,7 @@ pub enum Counter {
     ServeDrained,
 }
 
-const COUNTER_COUNT: usize = 30;
+const COUNTER_COUNT: usize = 29;
 
 impl Counter {
     pub const ALL: [Counter; COUNTER_COUNT] = [
@@ -253,7 +250,6 @@ impl Counter {
         Counter::CacheMisses,
         Counter::CacheSelfHeals,
         Counter::SweepWorkerSteals,
-        Counter::SnapshotSelfHeals,
         Counter::ClaimsAcquired,
         Counter::ClaimsStaleReclaimed,
         Counter::ClaimsContended,
@@ -287,7 +283,6 @@ impl Counter {
             Counter::CacheMisses => "cache.misses",
             Counter::CacheSelfHeals => "cache.self_heals",
             Counter::SweepWorkerSteals => "sweep.worker_steals",
-            Counter::SnapshotSelfHeals => "snapshot.self_heals",
             Counter::ClaimsAcquired => "claims.acquired",
             Counter::ClaimsStaleReclaimed => "claims.stale_reclaimed",
             Counter::ClaimsContended => "claims.contended",
@@ -323,7 +318,6 @@ impl Counter {
             Counter::CacheMisses => "sweep cells the cache could not serve",
             Counter::CacheSelfHeals => "defective cache entries demoted to misses",
             Counter::SweepWorkerSteals => "cells claimed by spawned sweep workers",
-            Counter::SnapshotSelfHeals => "defective snapshot entries demoted to misses",
             Counter::ClaimsAcquired => "cell claim leases acquired by this worker",
             Counter::ClaimsStaleReclaimed => "stale claim leases reclaimed after the TTL",
             Counter::ClaimsContended => "claim attempts that found a live foreign lease",

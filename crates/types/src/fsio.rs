@@ -7,6 +7,12 @@
 //! a process restarted after `kill -9` — either sees the previous
 //! version of the file or the complete new one, never a truncated
 //! intermediate.
+//!
+//! That guarantee covers a process crash only. [`write_atomic`] renames
+//! without fsyncing the temp file or the parent directory: after a
+//! `kill -9` the kernel still holds the data and the rename, but after
+//! power loss or a kernel crash the rename may be lost, or land before
+//! the data and leave an empty or truncated file.
 
 use crate::error::{Result, SrapsError};
 use std::path::{Path, PathBuf};

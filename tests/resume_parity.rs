@@ -3,9 +3,9 @@
 //! invisible in every output byte — across policies, backfills, power
 //! caps, outages, both engine cores, and any pause point.
 //!
-//! This is the contract that makes snapshots cache-addressable: a
-//! resumed run and an uninterrupted run are the same simulation, so a
-//! stored snapshot can stand in for its prefix.
+//! This is the contract behind `--checkpoint`/`--resume` and late-cap
+//! prefix sharing: a resumed run and an uninterrupted run are the same
+//! simulation, so a snapshot can stand in for its prefix.
 
 use proptest::prelude::*;
 use sraps_core::{
