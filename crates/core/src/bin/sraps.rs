@@ -265,6 +265,26 @@ fn write_outputs(dir: &PathBuf, out: &SimOutput) -> sraps_types::Result<()> {
     Ok(())
 }
 
+/// The run's window bounds: explicit `-ff`/`-t` beat the scenario's
+/// documented window, and `-t` counts from the start bound. Each bound is
+/// set on its own; one left `None` resolves to the capture bound, as in
+/// [`Dataset::resolve_window`].
+fn run_window(
+    a: &CliArgs,
+    dataset: &Dataset,
+    window: Option<(SimTime, SimTime)>,
+) -> (Option<SimTime>, Option<SimTime>) {
+    let start = a
+        .fast_forward
+        .map(|ff| dataset.capture_start + ff)
+        .or(window.map(|w| w.0));
+    let end = match a.duration {
+        Some(d) => Some(start.unwrap_or(dataset.capture_start) + d),
+        None => window.map(|w| w.1),
+    };
+    (start, end)
+}
+
 fn run(a: CliArgs) -> Result<(), String> {
     let (cfg, dataset, window) = build_inputs(&a)?;
     println!(
@@ -283,19 +303,7 @@ fn run(a: CliArgs) -> Result<(), String> {
         other => return Err(format!("unknown scheduler '{other}'")),
     }
     sim = sim.with_engine(a.engine);
-    // Window: explicit -ff/-t beats the scenario's documented window.
-    let start = a
-        .fast_forward
-        .map(|ff| dataset.capture_start + ff)
-        .or(window.map(|w| w.0));
-    let end = match (start, a.duration) {
-        (Some(s), Some(d)) => Some(s + d),
-        (_, Some(d)) => Some(dataset.capture_start + d),
-        _ => window.map(|w| w.1),
-    };
-    if let (Some(s), Some(e)) = (start.or(window.map(|w| w.0)), end) {
-        sim = sim.with_window(s, e);
-    }
+    (sim.sim_start, sim.sim_end) = run_window(&a, &dataset, window);
     if a.cooling {
         sim = sim.with_cooling();
     }
@@ -608,6 +616,36 @@ mod tests {
         let (cfg, _, window) = build_inputs(&a).unwrap();
         assert_eq!(cfg.name, "adastra");
         assert!(window.is_some());
+    }
+
+    /// Ticks and job outcomes of the run an invocation describes.
+    fn simulated(args: &[&str]) -> (usize, usize) {
+        let a = parse(args).unwrap();
+        let (cfg, ds, window) = build_inputs(&a).unwrap();
+        let mut sim = SimConfig::new(cfg, &a.policy, &a.backfill).unwrap();
+        (sim.sim_start, sim.sim_end) = run_window(&a, &ds, window);
+        let out = Engine::new(sim, &ds).unwrap().run().unwrap();
+        (out.times.len(), out.outcomes.len())
+    }
+
+    const ADASTRA_4H: [&str; 4] = ["--system", "adastra", "--span", "4h"];
+
+    #[test]
+    fn duration_alone_restricts_the_window() {
+        let whole = simulated(&ADASTRA_4H);
+        let hour = simulated(&[&ADASTRA_4H[..], &["-t", "1h"]].concat());
+        let from_zero = simulated(&[&ADASTRA_4H[..], &["-ff", "0", "-t", "1h"]].concat());
+        assert_eq!(hour, from_zero, "-t counts from the capture start");
+        assert_eq!(hour.0, 60, "one hour of one-minute ticks");
+        assert!(hour.1 < whole.1, "{hour:?} vs whole capture {whole:?}");
+    }
+
+    #[test]
+    fn fast_forward_alone_restricts_the_window() {
+        let whole = simulated(&ADASTRA_4H);
+        let late = simulated(&[&ADASTRA_4H[..], &["-ff", "3h"]].concat());
+        assert_eq!(late.0, whole.0 - 180, "the window starts 3 h in");
+        assert!(late.1 < whole.1, "{late:?} vs whole capture {whole:?}");
     }
 
     #[test]

@@ -12,18 +12,18 @@
 //!   tick core; only the work of discovering that nothing schedulable
 //!   changed is skipped.
 //!
-//! With an empty queue the skip is always sound. With a non-empty queue
-//! it depends on the scheduler ([`SchedSkip`]): built-in policies with
-//! none/first-fit/EASY backfill change their decisions only at events, so
-//! a call that placed nothing skips ahead. Every other backend is asked
-//! for its next internal deadline
-//! ([`SchedulerBackend::next_decision_time`]) — conservative backfill
+//! With an empty queue the skip is always sound. With a non-empty queue,
+//! after a call that placed nothing, the engine asks the scheduler for
+//! its next internal deadline ([`SchedulerBackend::next_decision_time`]):
+//! built-in policies with none/first-fit/EASY backfill change their
+//! decisions only at events and answer `None`, conservative backfill
 //! exposes its earliest future reservation, replay (also under a power
 //! cap) the earliest future recorded start, external engines their next
 //! internal event — and the skip horizon is bounded by that deadline.
 //! Only backends that cannot bound their next decision (a conservative
-//! plan whose matured reservation failed to allocate, an external engine
-//! without an event hint) still force one-tick stepping.
+//! plan whose matured reservation failed to allocate, a cap-deferred
+//! proposal under EASY/conservative, an external engine without an
+//! event hint) still force one-tick stepping.
 
 use crate::config::{EngineMode, SchedulerSelect, SimConfig};
 use crate::fingerprint::ENGINE_SCHEMA_VERSION;
@@ -233,43 +233,6 @@ impl<'a> MetricCursor<'a> {
     }
 }
 
-/// When may the event core skip scheduling ticks while the queue is
-/// *non-empty*? (An empty queue always skips to the event horizon.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SchedSkip {
-    /// Built-in policy (every ordering key is time-invariant between
-    /// events — aging is uniform-rate) with none/first-fit/EASY backfill:
-    /// a call that places nothing will keep placing nothing until the
-    /// next completion/submission/outage event — EASY admission only
-    /// hardens as `now` advances against a reservation built from static
-    /// estimated ends. (A call that *did* place jobs can shift the
-    /// reservation, so placements force a one-tick step.)
-    OnEvents,
-    /// Everything else — replay (queued jobs mature at recorded starts),
-    /// conservative backfill (reservations mature on estimated ends),
-    /// power-cap wrappers, experimental and external backends: ask the
-    /// backend for its next internal deadline
-    /// ([`SchedulerBackend::next_decision_time`]) after each no-op call
-    /// and bound the skip horizon by it.
-    Hinted,
-}
-
-impl SchedSkip {
-    fn classify(sim: &SimConfig) -> SchedSkip {
-        use sraps_sched::{BackfillKind, PolicyKind};
-        if sim.scheduler != SchedulerSelect::Default
-            || sim.power_cap_kw.is_some()
-            || sim.policy == PolicyKind::Replay
-        {
-            return SchedSkip::Hinted;
-        }
-        match sim.backfill {
-            BackfillKind::None | BackfillKind::FirstFit | BackfillKind::Easy => SchedSkip::OnEvents,
-            BackfillKind::Conservative => SchedSkip::Hinted,
-        }
-    }
-}
-
 /// The simulation engine. Create with [`Engine::builder`] (or the
 /// [`Engine::new`] shorthand), run with [`Engine::run`] — or drive it
 /// incrementally with [`Engine::run_until`], capture the full state with
@@ -336,8 +299,6 @@ pub struct Engine {
     placements: Vec<sraps_sched::Placement>,
     /// How many actives carry a traced (per-tick sampled) profile.
     traced_active: usize,
-    /// Non-empty-queue skip eligibility, classified once from the config.
-    skip: SchedSkip,
 }
 
 /// The cell-independent slice of engine construction: the simulation
@@ -546,7 +507,6 @@ impl Engine {
             span_busy: Vec::new(),
             placements: Vec::new(),
             traced_active: 0,
-            skip: SchedSkip::classify(&sim),
             sim,
         };
         // Histories have a known final length: one sample per tick.
@@ -1097,9 +1057,10 @@ impl Engine {
     /// The event horizon: earliest future instant at which steps 1–3 can
     /// do anything — the next pending submission, the earliest completion
     /// in the heap, or the next outage edge; `sim_end` bounds it. With a
-    /// non-empty queue, `run` additionally bounds it by the scheduler's
-    /// internal deadline and only skips when the scheduler is event-bound
-    /// or hint-bounded ([`SchedSkip`]).
+    /// non-empty queue, [`Engine::step_control`] additionally bounds it by
+    /// the scheduler's internal deadline
+    /// ([`SchedulerBackend::next_decision_time`]) and skips only when
+    /// that deadline is absent or in the future.
     ///
     /// Outage edges are pre-sorted at construction; since `now` is
     /// monotone across calls, a cursor over that list replaces the
@@ -1156,9 +1117,8 @@ impl Engine {
         // no-ops until then: always with an empty queue, and with a
         // non-empty one when this call placed nothing (placements can
         // shift backfill reservations, so they force a one-tick step)
-        // and the scheduler is event-bound — outright (OnEvents) or
-        // up to an internal deadline it reports, which then bounds
-        // the horizon (Hinted).
+        // and the scheduler's internal deadline, if it reports one,
+        // lies in the future — it then bounds the horizon.
         let dt_secs = self.sim.system.tick.as_secs();
         let span = {
             let _s = sraps_obs::span(ObsPhase::EngineHorizon);
@@ -1168,16 +1128,13 @@ impl Engine {
             } else if placed > 0 {
                 false
             } else {
-                match self.skip {
-                    SchedSkip::OnEvents => true,
-                    SchedSkip::Hinted => match self.scheduler.next_decision_time(now) {
-                        None => true,
-                        Some(t) if t > now => {
-                            deadline = Some(t);
-                            true
-                        }
-                        Some(_) => false,
-                    },
+                match self.scheduler.next_decision_time(now) {
+                    None => true,
+                    Some(t) if t > now => {
+                        deadline = Some(t);
+                        true
+                    }
+                    Some(_) => false,
                 }
             };
             if can_skip {

@@ -71,18 +71,6 @@ impl BuiltinScheduler {
         self.backfill
     }
 
-    /// Establish this scheduler's policy order on `queue` (incremental:
-    /// a no-op when nothing was pushed and no key changed). The power-cap
-    /// wrapper calls this on the *real* queue before mirroring it, so the
-    /// shadow copy arrives pre-ordered and the inner pass re-sorts
-    /// nothing.
-    pub fn order_queue(&self, queue: &mut JobQueue, ctx: &SchedContext<'_>) {
-        if self.policy != PolicyKind::Replay {
-            self.policy
-                .order_incremental(queue, ctx, self.completion_epoch);
-        }
-    }
-
     /// Replay placement: jobs start exactly at their recorded start, on
     /// their recorded nodes when those are free (always true for
     /// self-consistent traces); otherwise fall back to first-fit and count
@@ -265,6 +253,42 @@ impl BuiltinScheduler {
         self.plan = scratch;
     }
 
+    /// Order or plan, allocate each placement on `rm`, record it in the
+    /// stats, and append it to `out`: a `schedule` call short of taking
+    /// the placed jobs off the queue. The power-cap wrapper calls this
+    /// directly, keeps the placements its budget admits, and hands the
+    /// others' nodes back to `rm`.
+    pub(crate) fn propose(
+        &mut self,
+        now: SimTime,
+        queue: &mut JobQueue,
+        rm: &mut ResourceManager,
+        ctx: &SchedContext<'_>,
+        out: &mut Vec<Placement>,
+    ) {
+        debug_assert!(
+            self.timeline.matches(ctx.running),
+            "timeline out of lockstep with ctx.running: {} tracked vs {} running",
+            self.timeline.jobs(),
+            ctx.running.len()
+        );
+        let _s = sraps_obs::span(sraps_obs::Phase::SchedSchedule);
+        self.stats.invocations += 1;
+        if self.policy == PolicyKind::Replay {
+            self.schedule_replay(now, queue, rm, out);
+        } else {
+            self.schedule_ordered(now, queue, rm, ctx, out);
+        }
+        self.stats.record_placements(out);
+    }
+
+    /// Take the `placed` jobs off `queue` — the rest of a `schedule` call.
+    pub(crate) fn dequeue(&mut self, queue: &mut JobQueue, placed: &[Placement]) {
+        self.placed_ids.clear();
+        self.placed_ids.extend(placed.iter().map(|p| p.job));
+        queue.remove_placed(&self.placed_ids);
+    }
+
     /// The builtin's mid-run state (also what wrappers embed).
     pub(crate) fn state(&self) -> BuiltinSchedulerState {
         BuiltinSchedulerState {
@@ -296,23 +320,8 @@ impl SchedulerBackend for BuiltinScheduler {
         ctx: &SchedContext<'_>,
         out: &mut Vec<Placement>,
     ) -> Result<()> {
-        debug_assert!(
-            self.timeline.matches(ctx.running),
-            "timeline out of lockstep with ctx.running: {} tracked vs {} running",
-            self.timeline.jobs(),
-            ctx.running.len()
-        );
-        let _s = sraps_obs::span(sraps_obs::Phase::SchedSchedule);
-        self.stats.invocations += 1;
-        if self.policy == PolicyKind::Replay {
-            self.schedule_replay(now, queue, rm, out);
-        } else {
-            self.schedule_ordered(now, queue, rm, ctx, out);
-        }
-        self.stats.record_placements(out);
-        self.placed_ids.clear();
-        self.placed_ids.extend(out.iter().map(|p| p.job));
-        queue.remove_placed(&self.placed_ids);
+        self.propose(now, queue, rm, ctx, out);
+        self.dequeue(queue, out);
         Ok(())
     }
 

@@ -33,18 +33,11 @@ pub struct PowerCapScheduler {
     /// wrapper's contribution to [`SchedulerBackend::next_decision_time`].
     deferred_last_call: bool,
     /// The wrapper's own counters: placements that *took effect*. The
-    /// inner scheduler's counters describe shadow proposals, which the
-    /// cap may re-defer call after call — counting those would inflate
+    /// inner scheduler's counters describe its proposals, which the cap
+    /// may re-defer call after call — counting those would inflate
     /// `placements`/`backfilled` with every re-proposal (and make them
     /// depend on how often the engine polls the scheduler).
     stats: SchedulerStats,
-    /// Shadow mirrors of the engine's state, refreshed by `clone_from`
-    /// each call so the per-invocation deep copies stop allocating.
-    shadow_rm: Option<ResourceManager>,
-    shadow_queue: JobQueue,
-    /// Scratch for the inner scheduler's proposal and the admitted ids.
-    proposed: Vec<Placement>,
-    admitted_ids: Vec<JobId>,
 }
 
 impl PowerCapScheduler {
@@ -56,15 +49,7 @@ impl PowerCapScheduler {
             deferred: 0,
             deferred_last_call: false,
             stats: SchedulerStats::default(),
-            shadow_rm: None,
-            shadow_queue: JobQueue::new(),
-            proposed: Vec::new(),
-            admitted_ids: Vec::new(),
         }
-    }
-
-    fn estimate(&self, id: JobId) -> f64 {
-        self.estimates_kw.get(&id).copied().unwrap_or(0.0)
     }
 
     /// Placements deferred by the cap so far.
@@ -87,48 +72,35 @@ impl SchedulerBackend for PowerCapScheduler {
         out: &mut Vec<Placement>,
     ) -> Result<()> {
         self.stats.invocations += 1;
+        let estimate = |id: JobId| self.estimates_kw.get(&id).copied().unwrap_or(0.0);
         // Budget left after the jobs already running.
-        let running_kw: f64 = ctx.running.iter().map(|r| self.estimate(r.id)).sum();
+        let running_kw: f64 = ctx.running.iter().map(|r| estimate(r.id)).sum();
         let mut budget = self.cap_kw - running_kw;
 
-        // Let the inner policy decide on shadow state, then admit its
-        // placements in order while the budget lasts. The shadow resource
-        // manager mirrors the real one, so admitted node sets are free in
-        // the real manager too (placements are mutually disjoint). The
-        // mirrors and the proposal buffer persist across calls
-        // (`clone_from` reuses their allocations), and the *real* queue
-        // is put in policy order first so the shadow copy carries the
-        // order stamp with it — the inner pass then re-sorts nothing.
-        self.inner.order_queue(queue, ctx);
-        match &mut self.shadow_rm {
-            Some(shadow) => shadow.clone_from(rm),
-            None => self.shadow_rm = Some(rm.clone()),
-        }
-        self.shadow_queue.clone_from(queue);
-        self.proposed.clear();
-        let mut proposed = std::mem::take(&mut self.proposed);
-        let shadow_rm = self.shadow_rm.as_mut().expect("installed above");
-        self.inner
-            .schedule(now, &mut self.shadow_queue, shadow_rm, ctx, &mut proposed)?;
-
-        self.deferred_last_call = false;
-        for p in proposed.drain(..) {
-            let est = self.estimate(p.job);
+        // Let the inner policy place on the real queue and machine, then
+        // admit its proposals in order while the budget lasts and hand
+        // each deferred proposal's nodes straight back. Admission reads
+        // only the estimates and the budget, never the machine, and
+        // `release` exactly undoes `allocate` (the nodes were free, and
+        // free and down nodes are disjoint), so `rm` ends holding just
+        // the admitted placements.
+        self.inner.propose(now, queue, rm, ctx, out);
+        let proposed = out.len();
+        out.retain(|p| {
+            let est = estimate(p.job);
             if est <= budget {
                 budget -= est;
-                rm.allocate_exact(&p.nodes)?;
-                out.push(p);
-            } else {
-                self.deferred += 1;
-                self.deferred_last_call = true;
-                sraps_obs::bump(sraps_obs::Counter::SchedCapDeferrals);
+                return true;
             }
-        }
-        self.proposed = proposed;
+            rm.release(&p.nodes);
+            false
+        });
+        let deferred = (proposed - out.len()) as u64;
+        self.deferred += deferred;
+        self.deferred_last_call = deferred > 0;
+        sraps_obs::add(sraps_obs::Counter::SchedCapDeferrals, deferred);
         self.stats.record_placements(out);
-        self.admitted_ids.clear();
-        self.admitted_ids.extend(out.iter().map(|p| p.job));
-        queue.remove_placed(&self.admitted_ids);
+        self.inner.dequeue(queue, out);
         Ok(())
     }
 
@@ -146,11 +118,12 @@ impl SchedulerBackend for PowerCapScheduler {
     /// inherits the inner deadline. The exception is a *deferred*
     /// proposal under a time-variant backfill rule:
     ///
-    /// * EASY — the deferred proposal holds shadow nodes, and admission
-    ///   hardens with time; when it ages out of the reservation window
-    ///   its shadow nodes free up and a different (possibly cheaper) job
-    ///   can be proposed and admitted with no event in between;
-    /// * conservative — a deferred proposal keeps re-planning a shadow
+    /// * EASY — a deferred proposal still takes its nodes in the inner
+    ///   pass, and admission hardens with time; once it ages out of the
+    ///   reservation window it is no longer proposed, so its nodes go to
+    ///   a different (possibly cheaper) job that can be admitted with no
+    ///   event in between;
+    /// * conservative — a deferred proposal keeps re-planning a
     ///   reservation anchored at `now`, so its sliding window shifts
     ///   every later job's reservation between events.
     ///
@@ -176,7 +149,7 @@ impl SchedulerBackend for PowerCapScheduler {
     fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             // Plan recomputations remain meaningful inner telemetry (they
-            // happen per shadow call, like any per-invocation overhead).
+            // happen per inner pass, like any per-invocation overhead).
             recomputations: self.inner.stats().recomputations,
             ..self.stats
         }
@@ -193,8 +166,8 @@ impl SchedulerBackend for PowerCapScheduler {
 
     /// Accepts its own record, and tolerates a plain builtin record — the
     /// cap-applied-at-*t* fork: the prefix ran uncapped, so the wrapper's
-    /// own deferral counters start from zero. Shadow mirrors and scratch
-    /// buffers are per-call state and need no restoration.
+    /// own deferral counters start from zero. Everything else the wrapper
+    /// holds is construction input.
     fn restore_state(&mut self, state: &SchedulerState) -> Result<()> {
         match state {
             SchedulerState::PowerCap(s) => {
@@ -221,7 +194,7 @@ mod tests {
     use crate::backfill::BackfillKind;
     use crate::policy::PolicyKind;
     use crate::queue::QueuedJob;
-    use sraps_types::{AccountId, SimDuration};
+    use sraps_types::{AccountId, NodeId, NodeSet, SimDuration};
 
     fn qj(id: u64, nodes: u32) -> QueuedJob {
         QueuedJob {
@@ -319,6 +292,33 @@ mod tests {
     }
 
     #[test]
+    fn deferring_every_proposal_leaves_machine_and_queue_as_they_were() {
+        // Every estimate exceeds the cap on its own, so the inner policy
+        // proposes all three jobs and the wrapper defers all three.
+        let mut s = capped(50.0, &[(1, 60.0), (2, 70.0), (3, 80.0)]);
+        let mut q = JobQueue::new();
+        q.push(qj(1, 2));
+        q.push(qj(2, 3));
+        q.push(qj(3, 1));
+        let mut rm = ResourceManager::new(16);
+        rm.allocate(4).unwrap();
+        rm.mark_down(&NodeSet::from_indices(vec![9]));
+        let free = |rm: &ResourceManager| -> Vec<bool> {
+            (0..16).map(|n| rm.is_free(NodeId(n))).collect()
+        };
+        let (free_before, count_before) = (free(&rm), rm.free_count());
+        let (jobs_before, demand_before) = (q.jobs().to_vec(), q.demand_nodes());
+        let placed = run(&mut s, SimTime::ZERO, &mut q, &mut rm, &ctx());
+        assert!(placed.is_empty());
+        assert_eq!(s.deferred(), 3);
+        assert_eq!(free(&rm), free_before, "deferred nodes are free again");
+        assert_eq!(rm.free_count(), count_before);
+        assert_eq!(rm.down_count(), 1);
+        assert_eq!(q.jobs(), &jobs_before[..], "every job still queued");
+        assert_eq!(q.demand_nodes(), demand_before);
+    }
+
+    #[test]
     fn unknown_estimates_pass_freely() {
         // Jobs without estimates cost 0 budget (no data ⇒ no veto).
         let mut s = capped(10.0, &[]);
@@ -330,9 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn shadow_state_reuse_is_invisible_across_calls() {
-        // Consecutive calls with mutating real state must behave as if the
-        // shadow were built fresh each time (it is `clone_from`-refreshed).
+    fn consecutive_calls_see_the_real_state() {
+        // Consecutive calls with mutating real state: each places on the
+        // machine exactly as the previous calls and releases left it.
         let mut s = capped(1000.0, &[(1, 10.0), (2, 10.0), (3, 10.0)]);
         let mut q = JobQueue::new();
         q.push(qj(1, 2));

@@ -54,7 +54,7 @@ pub struct OrderStamp {
 /// Serialization (engine snapshots) round-trips every field, including
 /// the sorted-prefix length and order stamp, so a restored queue resumes
 /// the incremental-order fast path without a re-sort.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobQueue {
     jobs: Vec<QueuedJob>,
     /// Σ `nodes` over queued jobs, kept in sync by push/remove.
@@ -64,29 +64,6 @@ pub struct JobQueue {
     sorted_len: usize,
     /// Which key function the sorted prefix reflects, if any.
     stamp: Option<OrderStamp>,
-}
-
-impl Clone for JobQueue {
-    fn clone(&self) -> Self {
-        JobQueue {
-            jobs: self.jobs.clone(),
-            demand_nodes: self.demand_nodes,
-            sorted_len: self.sorted_len,
-            stamp: self.stamp,
-        }
-    }
-
-    /// Reuses `self`'s job buffer — the power-cap scheduler mirrors the
-    /// real queue into its shadow copy every invocation, so this keeps
-    /// that mirror allocation-free in steady state. The order stamp comes
-    /// along, so a shadow cloned from an already-ordered queue needs no
-    /// re-sort either.
-    fn clone_from(&mut self, source: &Self) {
-        self.jobs.clone_from(&source.jobs);
-        self.demand_nodes = source.demand_nodes;
-        self.sorted_len = source.sorted_len;
-        self.stamp = source.stamp;
-    }
 }
 
 impl JobQueue {
@@ -326,13 +303,12 @@ mod tests {
         q.push(qj(1, 0, 2, 10, 1.0));
         q.push(qj(2, 1, 3, 10, 0.0));
         q.ensure_order_by(stamp(), |j| j.priority);
-        let mut shadow = JobQueue::new();
-        shadow.clone_from(&q);
-        assert_eq!(ids(&shadow), ids(&q));
-        assert_eq!(shadow.demand_nodes(), q.demand_nodes());
-        // The shadow sees the same stamp, so ensuring order is a no-op
+        let mut copy = q.clone();
+        assert_eq!(ids(&copy), ids(&q));
+        assert_eq!(copy.demand_nodes(), q.demand_nodes());
+        // The copy sees the same stamp, so ensuring order is a no-op
         // that cannot scramble anything.
-        shadow.ensure_order_by(stamp(), |j| j.priority);
-        assert_eq!(ids(&shadow), ids(&q));
+        copy.ensure_order_by(stamp(), |j| j.priority);
+        assert_eq!(ids(&copy), ids(&q));
     }
 }

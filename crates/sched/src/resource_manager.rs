@@ -18,7 +18,7 @@ use sraps_types::{Bitset, NodeId, NodeSet, Result, SrapsError};
 /// load-bearing because down-marking of busy nodes is lazy: a node that
 /// went down mid-job only leaves the free pool on release, so the
 /// free/down distinction is not reconstructible from counts alone.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResourceManager {
     total: u32,
     free: Bitset,
@@ -27,28 +27,6 @@ pub struct ResourceManager {
     free_count: u32,
     /// Cached `down.count_ones()`.
     down_count: u32,
-}
-
-impl Clone for ResourceManager {
-    fn clone(&self) -> Self {
-        ResourceManager {
-            total: self.total,
-            free: self.free.clone(),
-            down: self.down.clone(),
-            free_count: self.free_count,
-            down_count: self.down_count,
-        }
-    }
-
-    /// Reuses `self`'s bitset buffers — the power-cap scheduler mirrors
-    /// the real manager into its shadow copy every invocation.
-    fn clone_from(&mut self, source: &Self) {
-        self.total = source.total;
-        self.free.clone_from(&source.free);
-        self.down.clone_from(&source.down);
-        self.free_count = source.free_count;
-        self.down_count = source.down_count;
-    }
 }
 
 impl ResourceManager {

@@ -11,7 +11,7 @@ use sraps_types::{JobId, NodeSet, Result, SimTime, SrapsError};
 /// How a placement came about — carried on the [`Placement`] itself so
 /// wrappers that admit only a subset of a proposal (the power-cap
 /// scheduler) can attribute statistics to the placements that actually
-/// took effect instead of to every shadow proposal.
+/// took effect instead of to everything the inner policy proposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPath {
     /// Queue/policy order, or replay on its recorded nodes.

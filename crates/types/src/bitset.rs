@@ -8,30 +8,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Fixed-capacity bitset backed by 64-bit words.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bitset {
     len: usize,
     words: Vec<u64>,
     ones: usize,
-}
-
-impl Clone for Bitset {
-    fn clone(&self) -> Self {
-        Bitset {
-            len: self.len,
-            words: self.words.clone(),
-            ones: self.ones,
-        }
-    }
-
-    /// Reuses `self`'s word buffer (a plain memcpy when capacities match)
-    /// — mirror-state holders like the power-cap scheduler's shadow
-    /// resource manager refresh their copy every call.
-    fn clone_from(&mut self, source: &Self) {
-        self.len = source.len;
-        self.words.clone_from(&source.words);
-        self.ones = source.ones;
-    }
 }
 
 impl Bitset {
