@@ -186,11 +186,12 @@ fn parse_args(argv: &[String]) -> Result<CliArgs, String> {
                 a.accounts_json = Some(PathBuf::from(value(&mut i, "--accounts-json")?));
             }
             "--power-cap" => {
-                a.power_cap_kw = Some(
-                    value(&mut i, "--power-cap")?
-                        .parse()
-                        .map_err(|e| format!("bad --power-cap: {e}"))?,
-                );
+                let v = value(&mut i, "--power-cap")?;
+                let kw: f64 = v.parse().map_err(|e| format!("bad --power-cap: {e}"))?;
+                if !(kw.is_finite() && kw > 0.0) {
+                    return Err(format!("bad --power-cap '{v}': need a finite kW value > 0"));
+                }
+                a.power_cap_kw = Some(kw);
             }
             "-o" | "--output" => a.out_dir = Some(PathBuf::from(value(&mut i, "--output")?)),
             "--profile" => a.profile = true,
@@ -570,6 +571,14 @@ mod tests {
     fn unknown_flag_is_an_error() {
         let e = parse(&["--system", "adastra", "--frobnicate"]).unwrap_err();
         assert!(e.contains("unknown argument"));
+    }
+
+    #[test]
+    fn non_finite_power_cap_is_an_error() {
+        for v in ["nan", "inf", "0", "-5"] {
+            let e = parse(&["--system", "lassen", "--power-cap", v]).unwrap_err();
+            assert!(e.contains("--power-cap"), "{v}: {e}");
+        }
     }
 
     #[test]

@@ -247,8 +247,12 @@ impl SimConfig {
             }
         }
         if let Some(cap) = self.power_cap_kw {
-            if cap <= 0.0 {
-                return Err(SrapsError::Config(format!("non-positive power cap {cap}")));
+            // `cap <= 0.0` alone would let NaN through, and a NaN cap
+            // admits nothing: every `est <= NaN` is false.
+            if !(cap.is_finite() && cap > 0.0) {
+                return Err(SrapsError::Config(format!(
+                    "power cap must be a finite kW value > 0, got {cap}"
+                )));
             }
             if self.scheduler != SchedulerSelect::Default {
                 return Err(SrapsError::Config(
@@ -323,6 +327,15 @@ mod tests {
         let c = SimConfig::replay(presets::lassen())
             .with_window(SimTime::seconds(100), SimTime::seconds(100));
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn power_cap_must_be_finite_and_positive() {
+        let capped = |kw| SimConfig::replay(presets::lassen()).with_power_cap(kw);
+        for kw in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            assert!(capped(kw).validate().is_err(), "cap {kw} must be rejected");
+        }
+        capped(1200.0).validate().unwrap();
     }
 
     #[test]

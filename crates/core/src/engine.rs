@@ -40,7 +40,7 @@ use sraps_sched::{
     SchedContext, SchedulerBackend,
 };
 use sraps_types::{
-    Job, JobId, NodeSet, Result, SimDuration, SimTime, SrapsError, Trace, TraceSegments,
+    Job, JobId, JobIdMap, NodeSet, Result, SimDuration, SimTime, SrapsError, Trace, TraceSegments,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -271,6 +271,9 @@ pub struct Engine {
     /// Scheduler-facing view of `active`, maintained in lockstep so
     /// schedule calls stop rebuilding it.
     running: Vec<RunningView>,
+    /// The window's per-job power estimates when the run has a cap;
+    /// [`Engine::attach`] stamps each running view's `power_kw` from it.
+    power_estimates: Option<Arc<JobIdMap<f64>>>,
     power_model: PowerModel,
     cooling: Option<CoolingPlant>,
     accounts: Accounts,
@@ -326,9 +329,9 @@ pub struct SimWindow {
     prepop: Vec<usize>,
     /// Per-job mean-power estimates (kW), the power-cap scheduler's
     /// input (§5). A pure fold over the jobs' telemetry traces, so it is
-    /// computed once per window and shared: a forked power-cap scan
-    /// builds many capped engines over one window.
-    power_estimates: OnceLock<HashMap<JobId, f64>>,
+    /// computed once per window and shared, not copied: a forked
+    /// power-cap scan builds many capped engines over one window.
+    power_estimates: OnceLock<Arc<JobIdMap<f64>>>,
 }
 
 impl SimWindow {
@@ -373,20 +376,23 @@ impl SimWindow {
     /// Per-job power estimates: what a site would have from user
     /// estimates or fingerprinting (§5). Lazy — uncapped windows never
     /// pay for it — and memoized across every engine on this window.
-    fn power_estimates(&self) -> &HashMap<JobId, f64> {
-        self.power_estimates.get_or_init(|| {
-            self.jobs
-                .iter()
-                .map(|j| {
-                    let node_kw = j
-                        .telemetry
-                        .node_power_w
-                        .as_ref()
-                        .map_or(0.0, |t| t.mean() as f64 / 1000.0);
-                    (j.id, node_kw * j.nodes_requested as f64)
-                })
-                .collect()
-        })
+    fn power_estimates(&self) -> Arc<JobIdMap<f64>> {
+        let table = self.power_estimates.get_or_init(|| {
+            Arc::new(
+                self.jobs
+                    .iter()
+                    .map(|j| {
+                        let node_kw = j
+                            .telemetry
+                            .node_power_w
+                            .as_ref()
+                            .map_or(0.0, |t| t.mean() as f64 / 1000.0);
+                        (j.id, node_kw * j.nodes_requested as f64)
+                    })
+                    .collect(),
+            )
+        });
+        Arc::clone(table)
     }
 }
 
@@ -462,6 +468,7 @@ impl Engine {
             )));
         }
         let scheduler = Self::build_scheduler(&sim, window)?;
+        let power_estimates = sim.power_cap_kw.map(|_| window.power_estimates());
         let rm = ResourceManager::new(sim.system.total_nodes);
         let power_model = PowerModel::new(&sim.system);
         let cooling = sim.cooling.then(|| CoolingPlant::new(&sim.system.cooling));
@@ -489,6 +496,7 @@ impl Engine {
             active_pos: HashMap::new(),
             completions: BinaryHeap::new(),
             running: Vec::new(),
+            power_estimates,
             power_model,
             cooling,
             accounts,
@@ -541,7 +549,7 @@ impl Engine {
                     Some(cap_kw) => Box::new(sraps_sched::PowerCapScheduler::new(
                         builtin,
                         cap_kw,
-                        window.power_estimates().clone(),
+                        window.power_estimates(),
                     )),
                     None => Box::new(builtin),
                 }
@@ -602,17 +610,24 @@ impl Engine {
     /// Index a classified [`Active`] into every engine-side structure.
     /// Restore uses this directly: the scheduler's own record of the job
     /// is already inside its snapshotted state, so no
-    /// [`SchedulerBackend::on_job_started`] call happens here.
+    /// [`SchedulerBackend::on_job_started`] call happens here. The
+    /// running view's power estimate is looked up here, once per job, so
+    /// a capped scheduler call reads it off the view.
     fn attach(&mut self, a: Active) {
         if let Profile::Traced = a.profile {
             self.traced_active += 1;
         }
         self.completions.push(Reverse((a.actual_end, a.id)));
         self.active_pos.insert(a.id, self.active.len());
+        let power_kw = self
+            .power_estimates
+            .as_ref()
+            .map_or(0.0, |table| table.get(&a.id).copied().unwrap_or(0.0));
         self.running.push(RunningView {
             id: a.id,
             nodes: a.nodes.len() as u32,
             estimated_end: a.est_end,
+            power_kw,
         });
         self.active.push(a);
     }

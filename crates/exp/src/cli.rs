@@ -272,12 +272,17 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                     .iter()
                     .map(|v| {
                         if v == "none" {
-                            Ok(None)
-                        } else {
-                            v.parse()
-                                .map(Some)
-                                .map_err(|e| format!("bad power cap '{v}': {e}"))
+                            return Ok(None);
                         }
+                        let kw: f64 = v
+                            .parse()
+                            .map_err(|e| format!("bad --power-caps value '{v}': {e}"))?;
+                        if !(kw.is_finite() && kw > 0.0) {
+                            return Err(format!(
+                                "bad --power-caps value '{v}': need a finite kW value > 0"
+                            ));
+                        }
+                        Ok(Some(kw))
                     })
                     .collect::<Result<_, String>>()?;
             }
@@ -765,6 +770,14 @@ mod tests {
         assert!(err.contains("non-'none' --power-caps"), "{err}");
 
         assert!(parse(&["--system", "lassen", "--cap-at", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn non_finite_power_caps_are_rejected() {
+        for caps in ["nan,none", "none,inf", "0", "-20"] {
+            let err = parse(&["--system", "lassen", "--power-caps", caps]).unwrap_err();
+            assert!(err.contains("--power-caps"), "{caps}: {err}");
+        }
     }
 
     #[test]

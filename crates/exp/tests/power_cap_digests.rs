@@ -14,6 +14,10 @@
 //! of each pair share one uncapped prefix). A [`Fingerprinter`] is
 //! salted with `ENGINE_SCHEMA_VERSION`, so bumping it re-takes these
 //! values; nothing else may change them.
+//!
+//! The other end of the range is pinned too: a cap above the sum of the
+//! window's estimates never binds, so it must leave every digest equal
+//! to the uncapped run's.
 
 use sraps_core::{Fingerprinter, SimOutput};
 use sraps_exp::{ExperimentMatrix, SweepRunner};
@@ -198,4 +202,50 @@ fn one_day_capped_halfway_conservative() {
             ("sjf/conservative/60", "6eaf4a0748cbc6edc03a07846228ee34"),
         ],
     );
+}
+
+#[test]
+fn one_day_cap_above_every_estimate_is_invisible() {
+    const CAP_KW: f64 = 100_000.0;
+    let matrix = ExperimentMatrix::synthetic(["lassen"])
+        .span(SimDuration::hours(24))
+        .loads([0.7])
+        .policies(["fcfs"])
+        .backfills(["none", "firstfit", "easy", "conservative"])
+        .power_caps_kw([None, Some(CAP_KW)]);
+    // The engine's estimate table, recomputed: each in-window job's mean
+    // recorded node power times its width.
+    let (plans, _) = matrix.expand().expect("matrix expands");
+    let workload = plans[0].materialize().expect("workload builds");
+    let (start, end) = workload.dataset.resolve_window(None, None);
+    let total_kw: f64 = workload
+        .dataset
+        .jobs_in_window(start, end)
+        .map(|j| {
+            let node_kw = j
+                .telemetry
+                .node_power_w
+                .as_ref()
+                .map_or(0.0, |t| t.mean() as f64 / 1000.0);
+            node_kw * j.nodes_requested as f64
+        })
+        .sum();
+    assert!(
+        total_kw < CAP_KW,
+        "the day's estimates sum to {total_kw} kW"
+    );
+
+    let results = SweepRunner::new(1).run(&matrix).expect("sweep runs");
+    let mut uncapped = std::collections::HashMap::new();
+    for c in &results.cells {
+        let d = digest(c.output.as_ref().expect("uncached run keeps output"));
+        let key = format!("{}/{}", c.spec.policy, c.spec.backfill);
+        match c.spec.power_cap_kw {
+            None => {
+                uncapped.insert(key, d);
+            }
+            Some(_) => assert_eq!(Some(&d), uncapped.get(&key), "{key}: the cap showed"),
+        }
+    }
+    assert_eq!(uncapped.len(), 4);
 }

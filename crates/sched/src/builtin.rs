@@ -130,8 +130,7 @@ impl BuiltinScheduler {
         ctx: &SchedContext<'_>,
         out: &mut Vec<Placement>,
     ) {
-        self.policy
-            .order_incremental(queue, ctx, self.completion_epoch);
+        self.order(queue, ctx);
         self.stats.recomputations += 1;
 
         if self.backfill == BackfillKind::Conservative {
@@ -251,6 +250,16 @@ impl BuiltinScheduler {
             next_planned_start(scratch.plan(), now)
         };
         self.plan = scratch;
+    }
+
+    /// Put `queue` in policy order: the first step of an ordered pass
+    /// (replay never reorders). The power-cap wrapper calls it alone when
+    /// its budget admits nothing, so the queue reads as after a full pass.
+    pub(crate) fn order(&self, queue: &mut JobQueue, ctx: &SchedContext<'_>) {
+        if self.policy != PolicyKind::Replay {
+            self.policy
+                .order_incremental(queue, ctx, self.completion_epoch);
+        }
     }
 
     /// Order or plan, allocate each placement on `rm`, record it in the
@@ -455,6 +464,7 @@ mod tests {
             id: JobId(100),
             nodes: 8,
             estimated_end: SimTime::seconds(1000),
+            power_kw: 0.0,
         }];
         announce(&mut s, &running);
         let mut q = JobQueue::new();
@@ -582,6 +592,7 @@ mod tests {
             id: JobId(100),
             nodes: 8,
             estimated_end: SimTime::seconds(1000),
+            power_kw: 0.0,
         }];
         announce(&mut s, &running);
         let mut q = JobQueue::new();
@@ -608,6 +619,7 @@ mod tests {
             id: JobId(100),
             nodes: 8,
             estimated_end: SimTime::seconds(50), // already passed
+            power_kw: 0.0,
         }];
         announce(&mut s, &running);
         let mut q = JobQueue::new();

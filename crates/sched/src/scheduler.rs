@@ -48,13 +48,16 @@ impl Placement {
 
 /// The scheduler's view of one running job — what a real batch system
 /// would know: when the job is *expected* to end (from its wall-time
-/// limit), not when it actually will.
+/// limit), not when it actually will, and what it is *expected* to draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningView {
     pub id: JobId,
     pub nodes: u32,
     /// Estimated end = start + wall-time limit.
     pub estimated_end: SimTime,
+    /// Estimated total power, kW — the power-cap wrapper's budget input,
+    /// stamped once when the job starts (0 when the run has no cap).
+    pub power_kw: f64,
 }
 
 /// Read-only context handed to the scheduler each invocation.
@@ -170,6 +173,8 @@ pub fn snapshot_unsupported(name: &str) -> SrapsError {
 ///
 /// The engine guarantees: `queue` contains only submitted, unstarted jobs;
 /// `rm` reflects current occupancy; invocations are monotone in `now`.
+/// Between calls the engine only pushes to `queue` (arrivals append at
+/// the end); only `schedule` itself reorders queued jobs or removes them.
 /// The backend guarantees: returned placements reference queued job ids
 /// and nodes handed out by `rm` within this call.
 pub trait SchedulerBackend {

@@ -295,6 +295,7 @@ mod tests {
             id: JobId(id),
             nodes,
             estimated_end: SimTime::seconds(end),
+            power_kw: 0.0,
         }
     }
 

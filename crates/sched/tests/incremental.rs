@@ -102,6 +102,7 @@ proptest! {
                 id: JobId(i as u64),
                 nodes: n,
                 estimated_end: SimTime::seconds(end % 7), // force tie collisions
+                power_kw: 0.0,
             })
             .collect();
         let mut timeline = CapacityTimeline::new();
@@ -134,6 +135,7 @@ proptest! {
                 id: JobId(i as u64),
                 nodes: n,
                 estimated_end: SimTime::seconds(end),
+                power_kw: 0.0,
             })
             .collect();
         let mut timeline = CapacityTimeline::new();
@@ -185,6 +187,7 @@ proptest! {
                 id: JobId(i as u64),
                 nodes: n,
                 estimated_end: SimTime::seconds(end),
+                power_kw: 0.0,
             })
             .collect();
         let mut timeline = CapacityTimeline::new();
@@ -229,6 +232,7 @@ proptest! {
                 id: JobId(i as u64),
                 nodes: n,
                 estimated_end: SimTime::seconds(end),
+                power_kw: 0.0,
             })
             .collect();
         let mut timeline = CapacityTimeline::new();

@@ -9,15 +9,15 @@
 //! test pins the "zero allocations" half with a counting global allocator.
 
 use sraps_sched::{
-    BackfillKind, BuiltinScheduler, JobQueue, Placement, PolicyKind, QueuedJob, ResourceManager,
-    RunningView, SchedContext, SchedulerBackend,
+    BackfillKind, BuiltinScheduler, JobQueue, Placement, PolicyKind, PowerCapScheduler, QueuedJob,
+    ResourceManager, RunningView, SchedContext, SchedulerBackend,
 };
-use sraps_types::{AccountId, JobId, SimDuration, SimTime};
+use sraps_types::{AccountId, JobId, JobIdMap, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Obs enablement is process-global; the two tests below must not overlap.
+/// Obs enablement is process-global; the tests below must not overlap.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// `System`, with every allocation and reallocation counted per thread:
@@ -89,6 +89,7 @@ fn assert_noop_calls_do_not_allocate(policy: PolicyKind, backfill: BackfillKind)
         id: JobId(10_000),
         nodes: 60,
         estimated_end: SimTime::seconds(100_000),
+        power_kw: 0.0,
     }];
     sched.on_job_started(SimTime::seconds(100_000), 60);
 
@@ -205,5 +206,58 @@ fn noop_schedule_calls_allocate_nothing_with_profiling_enabled() {
     sraps_obs::bump(sraps_obs::Counter::SchedInvocations);
     for (policy, backfill) in COMBOS {
         assert_noop_calls_do_not_allocate(policy, backfill);
+    }
+}
+
+/// Under a cap no queued estimate fits, a capped call skips the inner
+/// pass — and with it the node set that pass allocates for every proposal
+/// the cap then defers. The machine is idle and could hold every queued
+/// job, so a pass would propose them all.
+#[test]
+fn capped_calls_nothing_fits_allocate_nothing() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (policy, backfill) in COMBOS {
+        let estimates: JobIdMap<f64> = (0..32).map(|i| (JobId(i), 50.0 + i as f64)).collect();
+        let mut sched = PowerCapScheduler::new(
+            BuiltinScheduler::new(policy, backfill),
+            40.0,
+            Arc::new(estimates),
+        );
+        let mut rm = ResourceManager::new(64);
+        let mut queue = JobQueue::new();
+        for i in 0..32 {
+            queue.push(qj(i, i as i64, 1 + (i % 2) as u32, 600));
+        }
+        let ctx = SchedContext {
+            running: &[],
+            accounts: None,
+        };
+        let mut out: Vec<Placement> = Vec::new();
+        // Warm-up: the first call folds the queue into the wrapper's
+        // estimate bound and sorts the queue once.
+        sched
+            .schedule(SimTime::seconds(100), &mut queue, &mut rm, &ctx, &mut out)
+            .unwrap();
+        assert!(out.is_empty(), "{policy:?}-{backfill:?}: over budget");
+        let before = allocations();
+        for call in 0..50i64 {
+            sched
+                .schedule(
+                    SimTime::seconds(160 + 60 * call),
+                    &mut queue,
+                    &mut rm,
+                    &ctx,
+                    &mut out,
+                )
+                .unwrap();
+            assert!(out.is_empty());
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{policy:?}-{backfill:?}: a capped call nothing fits allocated"
+        );
+        assert_eq!(rm.free_count(), 64);
     }
 }

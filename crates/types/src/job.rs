@@ -10,7 +10,9 @@ use crate::node::NodeSet;
 use crate::telemetry::JobTelemetry;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Unique job identifier within one dataset.
 #[derive(
@@ -21,6 +23,33 @@ pub struct JobId(pub u64);
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "j{}", self.0)
+    }
+}
+
+/// A map keyed by [`JobId`] for per-job lookups on hot paths. Job ids
+/// come from datasets, not from an adversary, so the default SipHash's
+/// flooding defence buys nothing, and [`JobIdHasher`] costs one multiply.
+pub type JobIdMap<V> = HashMap<JobId, V, BuildHasherDefault<JobIdHasher>>;
+
+/// [`JobIdMap`]'s hasher: the FxHash step (rotate, xor, multiply) per
+/// written word, with the well-mixed high bits rotated down into the
+/// bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct JobIdHasher(u64);
+
+impl Hasher for JobIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

@@ -130,6 +130,7 @@ proptest! {
                 id: JobId(i as u64),
                 nodes: n,
                 estimated_end: SimTime::seconds(end),
+                power_kw: 0.0,
             })
             .collect();
         if let Some(res) = easy_reservation(head_nodes, free, &views) {
