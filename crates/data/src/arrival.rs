@@ -25,7 +25,7 @@ pub fn nhpp_arrivals<R: Rng>(
     night_floor: f64,
 ) -> Vec<i64> {
     let mut out = Vec::new();
-    if peak_rate_per_hour <= 0.0 || span_secs <= 0 {
+    if peak_rate_per_hour <= 0.0 || !peak_rate_per_hour.is_finite() || span_secs <= 0 {
         return out;
     }
     let rate_per_sec = peak_rate_per_hour / 3600.0;
@@ -106,5 +106,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(nhpp_arrivals(&mut rng, 0, 60.0, 0.2).is_empty());
         assert!(nhpp_arrivals(&mut rng, 1000, 0.0, 0.2).is_empty());
+        assert!(nhpp_arrivals(&mut rng, 1000, f64::NAN, 0.2).is_empty());
+        assert!(nhpp_arrivals(&mut rng, 1000, f64::INFINITY, 0.2).is_empty());
     }
 }

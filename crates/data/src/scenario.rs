@@ -234,6 +234,43 @@ pub fn fig10(seed: u64, scale: f64) -> Scenario {
     }
 }
 
+/// The paper scenario `name` (fig4–fig8, fig10) for `seed`: the one
+/// lookup from a command-line name to its constructor.
+///
+/// A scenario fixes its own workload and window, so each synthetic-
+/// workload flag in `workload_flags` (paired with whether the caller was
+/// given it) is an error when given, never silently ignored. fig4 and
+/// fig5 run full-size machines, so a `scale` other than 1 is an error for
+/// them; fig10 caps `scale` at the 4 096-node Fugaku the benches use.
+pub fn by_name(
+    name: &str,
+    seed: u64,
+    scale: f64,
+    workload_flags: &[(bool, &str)],
+) -> Result<Scenario, String> {
+    if let Some((_, flag)) = workload_flags.iter().find(|(given, _)| *given) {
+        return Err(format!(
+            "{flag} applies to --system sweeps only, and to single --system \
+             runs; scenarios fix their own workload (vary --seed instead)"
+        ));
+    }
+    if scale != 1.0 && matches!(name, "fig4" | "fig5") {
+        return Err(format!(
+            "--scale does not apply to scenario '{name}' (only \
+             fig6/fig7/fig8/fig10 scale)"
+        ));
+    }
+    Ok(match name {
+        "fig4" => fig4(seed),
+        "fig5" => fig5(seed),
+        "fig6" => fig6_scaled(seed, scale),
+        "fig7" => fig7(seed, scale),
+        "fig8" => fig8_scaled(seed, scale),
+        "fig10" => fig10(seed, scale.min(4096.0 / 158_976.0)),
+        other => return Err(format!("unknown scenario '{other}'")),
+    })
+}
+
 /// Pack specs and render them through the F-Data schema.
 fn build_fugaku_dataset(config: &SystemConfig, specs: Vec<JobSpec>, seed: u64) -> Dataset {
     // Reuse the fugaku generator's record shaping by packing here and

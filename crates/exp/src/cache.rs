@@ -72,12 +72,18 @@ impl CellCache {
         Ok(CellCache { dir })
     }
 
+    /// `$SRAPS_CACHE_DIR`, an empty value read as unset: the one place
+    /// the variable is read.
+    pub fn env_dir() -> Option<PathBuf> {
+        std::env::var_os("SRAPS_CACHE_DIR")
+            .filter(|v| !v.is_empty())
+            .map(PathBuf::from)
+    }
+
     /// The cache directory for a sweep writing to `out_dir`:
     /// `$SRAPS_CACHE_DIR` when set, else `<out_dir>/cache`.
     pub fn default_dir(out_dir: &Path) -> PathBuf {
-        std::env::var_os("SRAPS_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| out_dir.join("cache"))
+        Self::env_dir().unwrap_or_else(|| out_dir.join("cache"))
     }
 
     pub fn dir(&self) -> &Path {

@@ -11,8 +11,13 @@
 //! Prints the comparison table and writes `sweep.csv` + `sweep.json`
 //! (and optionally per-cell histories) into the output directory. The
 //! written files are bit-identical for any `--jobs` value.
+//!
+//! The module is also the front end every `sraps` subcommand shares:
+//! the [`Argv`] flag reader and one helper per process-wide switch
+//! ([`with_faults`], [`observed`]).
 
 use crate::cache::CellCache;
+use crate::faults::{self, FaultPlan};
 use crate::matrix::ExperimentMatrix;
 use crate::report::Report;
 use crate::runner::{SweepOptions, SweepRunner};
@@ -21,7 +26,9 @@ use sraps_data::scenario;
 use sraps_types::fsio::write_atomic;
 use sraps_types::time::parse_duration;
 use sraps_types::SimDuration;
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 pub const SWEEP_USAGE: &str = "\
 usage: sraps sweep (--system NAMES | --scenario NAMES) [options]
@@ -190,10 +197,7 @@ impl SweepArgs {
     /// Resolve the cache directory the run will use (`None` ⇒ caching
     /// off): explicit flags beat the `SRAPS_CACHE_DIR` auto-enable.
     pub fn resolved_cache_dir(&self) -> Option<PathBuf> {
-        let enabled = match self.cache {
-            Some(on) => on,
-            None => std::env::var_os("SRAPS_CACHE_DIR").is_some(),
-        };
+        let enabled = self.cache.unwrap_or_else(|| CellCache::env_dir().is_some());
         enabled.then(|| {
             self.cache_dir
                 .clone()
@@ -202,108 +206,204 @@ impl SweepArgs {
     }
 }
 
-fn split_csv(s: &str) -> Vec<String> {
-    s.split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect()
+/// A cursor over one subcommand's argv. Every parser of the `sraps`
+/// binary reads its flags through it, so each value check, and the error
+/// that names the flag, exists once.
+pub struct Argv<'a> {
+    argv: &'a [String],
+    next: usize,
+    flag: &'a str,
+}
+
+impl<'a> Argv<'a> {
+    pub fn new(argv: &'a [String]) -> Self {
+        Argv {
+            argv,
+            next: 0,
+            flag: "",
+        }
+    }
+
+    /// The next flag, or `None` once argv is used up.
+    pub fn flag(&mut self) -> Option<&'a str> {
+        let flag = self.argv.get(self.next)?;
+        self.next += 1;
+        self.flag = flag;
+        Some(flag)
+    }
+
+    /// The current flag's value.
+    pub fn value(&mut self) -> Result<String, String> {
+        let v = self
+            .argv
+            .get(self.next)
+            .ok_or_else(|| format!("{} needs a value", self.flag))?;
+        self.next += 1;
+        Ok(v.clone())
+    }
+
+    /// The value read by `parse`, which answers `None` for a bad value.
+    pub fn value_with<T>(&mut self, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+        let v = self.value()?;
+        parse(&v).ok_or_else(|| format!("bad {} value '{v}'", self.flag))
+    }
+
+    /// The value as a `T`.
+    pub fn num<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let v = self.value()?;
+        num(self.flag, &v)
+    }
+
+    /// The value as a finite number > 0.
+    pub fn positive(&mut self) -> Result<f64, String> {
+        let v = self.value()?;
+        positive(self.flag, &v)
+    }
+
+    /// The value as a duration (`61000`, `30m`, `2h`, `15d`), never
+    /// negative.
+    pub fn duration(&mut self) -> Result<SimDuration, String> {
+        self.duration_from(SimDuration::ZERO)
+    }
+
+    /// The value as a duration > 0: the length of a workload or window.
+    pub fn positive_duration(&mut self) -> Result<SimDuration, String> {
+        self.duration_from(SimDuration::seconds(1))
+    }
+
+    fn duration_from(&mut self, min: SimDuration) -> Result<SimDuration, String> {
+        let v = self.value()?;
+        let d = parse_duration(&v).ok_or_else(|| format!("bad {} value '{v}'", self.flag))?;
+        if d < min {
+            return Err(format!(
+                "bad {} value '{v}': need a duration ≥ {}s",
+                self.flag,
+                min.as_secs()
+            ));
+        }
+        Ok(d)
+    }
+
+    /// The value as a comma-separated list, each non-empty item read by
+    /// `item(flag, item)`.
+    pub fn list<T>(
+        &mut self,
+        item: impl Fn(&str, &str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let v = self.value()?;
+        v.split(',')
+            .map(str::trim)
+            .filter(|p| !p.is_empty())
+            .map(|p| item(self.flag, p))
+            .collect()
+    }
+}
+
+/// `v`, a value of `flag`, as a `T`.
+pub fn num<T: FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    v.parse()
+        .map_err(|e| format!("bad {flag} value '{v}': {e}"))
+}
+
+/// `v`, a value of `flag`, as a finite number > 0.
+pub fn positive(flag: &str, v: &str) -> Result<f64, String> {
+    let x: f64 = num(flag, v)?;
+    if !(x.is_finite() && x > 0.0) {
+        return Err(format!("bad {flag} value '{v}': need a finite number > 0"));
+    }
+    Ok(x)
+}
+
+/// `v` as it stands: the item reader for lists of names.
+pub fn text(_flag: &str, v: &str) -> Result<String, String> {
+    Ok(v.to_string())
+}
+
+/// Run `f` with fault injection armed from `flag` (a `--faults` value),
+/// or else from `SRAPS_FAULTS`, and disarmed after it returns. The plan
+/// is process-global, so it is armed for exactly this run.
+pub fn with_faults<T>(flag: Option<&str>, f: impl FnOnce() -> T) -> Result<T, String> {
+    let env = sraps_types::string_env("SRAPS_FAULTS").map_err(|e| e.to_string())?;
+    if let Some(spec) = flag.or(env.as_deref().filter(|s| !s.is_empty())) {
+        faults::arm(FaultPlan::parse(spec)?);
+        eprintln!("faults armed: {spec}");
+    }
+    let out = f();
+    faults::disarm();
+    Ok(out)
+}
+
+/// Run `f` with process-wide profiling and tracing switched on as asked,
+/// and both off again after it returns.
+pub fn observed<T>(profile: bool, trace: bool, f: impl FnOnce() -> T) -> T {
+    sraps_obs::set_profile(profile);
+    sraps_obs::set_trace(trace);
+    let out = f();
+    sraps_obs::set_profile(false);
+    sraps_obs::set_trace(false);
+    out
+}
+
+/// Write the trace an [`observed`] run collected to `path`, if given.
+pub fn write_trace(path: Option<&Path>) -> Result<(), String> {
+    if let Some(path) = path {
+        sraps_obs::write_trace(path).map_err(|e| format!("write trace {}: {e}", path.display()))?;
+        eprintln!("trace written to {}", path.display());
+    }
+    Ok(())
 }
 
 pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
     let mut a = SweepArgs::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--system" | "--systems" => a.systems = split_csv(&value(&mut i, "--system")?),
-            "--scenario" | "--scenarios" => a.scenarios = split_csv(&value(&mut i, "--scenario")?),
-            "--policies" => a.policies = split_csv(&value(&mut i, "--policies")?),
-            "--backfills" => a.backfills = split_csv(&value(&mut i, "--backfills")?),
+    let mut args = Argv::new(argv);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--system" | "--systems" => a.systems = args.list(text)?,
+            "--scenario" | "--scenarios" => a.scenarios = args.list(text)?,
+            "--policies" => a.policies = args.list(text)?,
+            "--backfills" => a.backfills = args.list(text)?,
             "--pairs" => {
-                let mut pairs = Vec::new();
-                for part in split_csv(&value(&mut i, "--pairs")?) {
-                    let (p, b) = part
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad pair '{part}': want policy:backfill"))?;
-                    pairs.push((p.to_string(), b.to_string()));
-                }
+                let pairs = args.list(|_, part| {
+                    part.split_once(':')
+                        .map(|(p, b)| (p.to_string(), b.to_string()))
+                        .ok_or_else(|| format!("bad pair '{part}': want policy:backfill"))
+                })?;
                 if pairs.is_empty() {
                     return Err("--pairs needs at least one policy:backfill".into());
                 }
                 a.pairs = Some(pairs);
             }
-            "--loads" => {
-                a.loads = split_csv(&value(&mut i, "--loads")?)
-                    .iter()
-                    .map(|v| v.parse().map_err(|e| format!("bad load '{v}': {e}")))
-                    .collect::<Result<_, String>>()?;
-            }
+            "--loads" => a.loads = args.list(positive)?,
             "--seeds" => {
-                a.seed_count = value(&mut i, "--seeds")?
-                    .parse()
-                    .map_err(|e| format!("bad --seeds: {e}"))?;
+                a.seed_count = args.num()?;
                 if a.seed_count == 0 {
                     return Err("--seeds must be ≥ 1".into());
                 }
             }
-            "--seed" => {
-                a.seed_base = value(&mut i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--span" => {
-                let v = value(&mut i, "--span")?;
-                a.span = parse_duration(&v).ok_or_else(|| format!("bad --span value '{v}'"))?;
-            }
-            "--scale" => {
-                a.scale = value(&mut i, "--scale")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-            }
+            "--seed" => a.seed_base = args.num()?,
+            "--span" => a.span = args.positive_duration()?,
+            "--scale" => a.scale = args.positive()?,
             "-c" | "--cooling" => a.cooling = true,
             "--power-caps" => {
-                a.power_caps = split_csv(&value(&mut i, "--power-caps")?)
-                    .iter()
-                    .map(|v| {
-                        if v == "none" {
-                            return Ok(None);
-                        }
-                        let kw: f64 = v
-                            .parse()
-                            .map_err(|e| format!("bad --power-caps value '{v}': {e}"))?;
-                        if !(kw.is_finite() && kw > 0.0) {
-                            return Err(format!(
-                                "bad --power-caps value '{v}': need a finite kW value > 0"
-                            ));
-                        }
-                        Ok(Some(kw))
-                    })
-                    .collect::<Result<_, String>>()?;
+                a.power_caps = args.list(|flag, v| match v {
+                    "none" => Ok(None),
+                    _ => positive(flag, v).map(Some),
+                })?;
             }
-            "--cap-at" => {
-                let v = value(&mut i, "--cap-at")?;
-                a.cap_at =
-                    Some(parse_duration(&v).ok_or_else(|| format!("bad --cap-at value '{v}'"))?);
-            }
-            "--engine" => {
-                let v = value(&mut i, "--engine")?;
-                a.engine =
-                    EngineMode::parse(&v).ok_or_else(|| format!("bad --engine value '{v}'"))?;
-            }
+            "--cap-at" => a.cap_at = Some(args.duration()?),
+            "--engine" => a.engine = args.value_with(EngineMode::parse)?,
             "--jobs" => {
-                let v: usize = value(&mut i, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("bad --jobs: {e}"))?;
-                if v == 0 {
+                let n = args.num()?;
+                if n == 0 {
                     return Err("--jobs must be ≥ 1".into());
                 }
-                a.jobs = Some(v);
+                a.jobs = Some(n);
             }
             flag @ ("--batch" | "--batch-max-lanes" | "--prefix-share") => {
                 return Err(format!(
@@ -312,8 +412,8 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                      each prefix its --cap-at cells share once"
                 ))
             }
-            "--baseline" => a.baseline = Some(value(&mut i, "--baseline")?),
-            "-o" | "--output" => a.out_dir = PathBuf::from(value(&mut i, "--output")?),
+            "--baseline" => a.baseline = Some(args.value()?),
+            "-o" | "--output" => a.out_dir = args.value()?.into(),
             "--write-histories" => a.write_histories = true,
             // --no-cache wins over --cache/--cache-dir regardless of
             // argument order (an alias with caching baked in stays
@@ -324,7 +424,7 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 }
             }
             "--cache-dir" => {
-                a.cache_dir = Some(PathBuf::from(value(&mut i, "--cache-dir")?));
+                a.cache_dir = Some(args.value()?.into());
                 if a.cache != Some(false) {
                     a.cache = Some(true);
                 }
@@ -332,27 +432,19 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
             "--no-cache" => a.cache = Some(false),
             "--metrics-only" => a.metrics_only = true,
             "--profile" => a.profile = true,
-            "--trace-out" => a.trace_out = Some(PathBuf::from(value(&mut i, "--trace-out")?)),
-            "--retries" => {
-                a.retries = Some(
-                    value(&mut i, "--retries")?
-                        .parse()
-                        .map_err(|e| format!("bad --retries: {e}"))?,
-                );
-            }
+            "--trace-out" => a.trace_out = Some(args.value()?.into()),
+            "--retries" => a.retries = Some(args.num()?),
             "--fail-fast" => a.fail_fast = true,
             "--no-claims" => a.claims = false,
             "--faults" => {
-                let spec = value(&mut i, "--faults")?;
+                let spec = args.value()?;
                 // Validate eagerly so a typo fails before any simulation.
-                crate::faults::FaultPlan::parse(&spec)?;
+                FaultPlan::parse(&spec)?;
                 a.faults = Some(spec);
             }
             "-q" | "--quiet" => a.quiet = true,
-            "-h" | "--help" => return Err(SWEEP_USAGE.to_string()),
             other => return Err(format!("unknown sweep argument '{other}'\n\n{SWEEP_USAGE}")),
         }
-        i += 1;
     }
     if a.systems.is_empty() == a.scenarios.is_empty() {
         return Err(format!(
@@ -368,43 +460,17 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
 /// Build the matrix a parsed argv describes.
 pub fn build_matrix(a: &SweepArgs) -> Result<ExperimentMatrix, String> {
     let mut matrix = if a.systems.is_empty() {
-        // Synthetic-only axes must not be silently ignored: reject them
-        // whenever they would have changed a --system sweep's behaviour.
-        let defaults = SweepArgs::default();
-        for (supplied, flag) in [
-            (a.seed_count != defaults.seed_count, "--seeds"),
-            (a.loads != defaults.loads, "--loads"),
-            (a.span != defaults.span, "--span"),
-        ] {
-            if supplied {
-                return Err(format!(
-                    "{flag} applies to --system sweeps only; scenarios fix \
-                     their own workload (vary --seed instead)"
-                ));
-            }
-        }
-        let mut workloads = Vec::new();
-        for name in &a.scenarios {
-            // fig4/fig5 run full-size systems with no scale knob; mixing
-            // them into a scaled sweep would silently compare across
-            // scales, so reject rather than ignore.
-            if a.scale != 1.0 && matches!(name.as_str(), "fig4" | "fig5") {
-                return Err(format!(
-                    "--scale does not apply to scenario '{name}' (only \
-                     fig6/fig7/fig8/fig10 scale)"
-                ));
-            }
-            let s = match name.as_str() {
-                "fig4" => scenario::fig4(a.seed_base),
-                "fig5" => scenario::fig5(a.seed_base),
-                "fig6" => scenario::fig6_scaled(a.seed_base, a.scale),
-                "fig7" => scenario::fig7(a.seed_base, a.scale),
-                "fig8" => scenario::fig8_scaled(a.seed_base, a.scale),
-                "fig10" => scenario::fig10(a.seed_base, a.scale.min(4096.0 / 158_976.0)),
-                other => return Err(format!("unknown scenario '{other}'")),
-            };
-            workloads.push(s);
-        }
+        let d = SweepArgs::default();
+        let workload_flags = [
+            (a.seed_count != d.seed_count, "--seeds"),
+            (a.loads != d.loads, "--loads"),
+            (a.span != d.span, "--span"),
+        ];
+        let workloads = a
+            .scenarios
+            .iter()
+            .map(|name| scenario::by_name(name, a.seed_base, a.scale, &workload_flags))
+            .collect::<Result<Vec<_>, _>>()?;
         ExperimentMatrix::scenarios(workloads)
     } else {
         ExperimentMatrix::synthetic(a.systems.clone())
@@ -481,28 +547,11 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
             None => String::new(),
         }
     );
-    // Fault injection is process-global and deterministic; arm it for
-    // exactly this run. The flag wins over the SRAPS_FAULTS env knob.
-    let env_faults = sraps_types::string_env("SRAPS_FAULTS")
-        .map_err(|e| e.to_string())?
-        .filter(|s| !s.is_empty());
-    let fault_spec = a.faults.clone().or(env_faults);
-    if let Some(spec) = &fault_spec {
-        crate::faults::arm(crate::faults::FaultPlan::parse(spec)?);
-        eprintln!("faults armed: {spec}");
-    }
-    // Instrumentation is process-global; flip it on for exactly this run.
-    sraps_obs::set_profile(a.profile);
-    sraps_obs::set_trace(a.trace_out.is_some());
-    let results = runner.run(&matrix);
-    crate::faults::disarm();
-    let results = results.map_err(|e| e.to_string())?;
-    sraps_obs::set_profile(false);
-    sraps_obs::set_trace(false);
-    if let Some(path) = &a.trace_out {
-        sraps_obs::write_trace(path).map_err(|e| format!("write trace {}: {e}", path.display()))?;
-        eprintln!("trace written to {}", path.display());
-    }
+    let results = with_faults(a.faults.as_deref(), || {
+        observed(a.profile, a.trace_out.is_some(), || runner.run(&matrix))
+    })?
+    .map_err(|e| e.to_string())?;
+    write_trace(a.trace_out.as_deref())?;
     let report = match &a.baseline {
         Some(kind) => Report::with_baseline(&results, kind),
         None => Report::from_results(&results),
@@ -777,6 +826,26 @@ mod tests {
         for caps in ["nan,none", "none,inf", "0", "-20"] {
             let err = parse(&["--system", "lassen", "--power-caps", caps]).unwrap_err();
             assert!(err.contains("--power-caps"), "{caps}: {err}");
+        }
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        for (flag, v) in [
+            ("--loads", "0.5,nan"),
+            ("--loads", "inf"),
+            ("--loads", "0"),
+            ("--loads", "-1"),
+            ("--scale", "nan"),
+            ("--scale", "-1"),
+            ("--span", "0"),
+            ("--cap-at", "-1h"),
+        ] {
+            let err = parse(&["--system", "lassen", "--power-caps", "20", flag, v]).unwrap_err();
+            assert!(
+                err.contains(&format!("bad {flag} value")),
+                "{flag} {v}: {err}"
+            );
         }
     }
 

@@ -26,8 +26,9 @@
 
 use sraps_core::{Engine, EngineMode, EngineSnapshot, SchedulerSelect, SimConfig, SimOutput};
 use sraps_data::{scenario, Dataset, WorkloadSpec};
+use sraps_exp::cli::{observed, write_trace, Argv};
 use sraps_systems::SystemConfig;
-use sraps_types::{fsio::write_atomic, time::parse_duration, SimDuration, SimTime};
+use sraps_types::{fsio::write_atomic, SimDuration, SimTime};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -133,80 +134,33 @@ options:
 
 fn parse_args(argv: &[String]) -> Result<CliArgs, String> {
     let mut a = CliArgs::default();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--system" => a.system = Some(value(&mut i, "--system")?),
-            "--scenario" => a.scenario = Some(value(&mut i, "--scenario")?),
-            "--policy" => a.policy = value(&mut i, "--policy")?,
-            "--backfill" => a.backfill = value(&mut i, "--backfill")?,
-            "--scheduler" => a.scheduler = value(&mut i, "--scheduler")?,
-            "--engine" => {
-                let v = value(&mut i, "--engine")?;
-                a.engine =
-                    EngineMode::parse(&v).ok_or_else(|| format!("bad --engine value '{v}'"))?;
-            }
-            "-ff" => {
-                let v = value(&mut i, "-ff")?;
-                a.fast_forward =
-                    Some(parse_duration(&v).ok_or_else(|| format!("bad -ff value '{v}'"))?);
-            }
-            "-t" => {
-                let v = value(&mut i, "-t")?;
-                a.duration = Some(parse_duration(&v).ok_or_else(|| format!("bad -t value '{v}'"))?);
-            }
-            "--load" => {
-                a.load = value(&mut i, "--load")?
-                    .parse()
-                    .map_err(|e| format!("bad --load: {e}"))?;
-            }
-            "--span" => {
-                let v = value(&mut i, "--span")?;
-                a.span = parse_duration(&v).ok_or_else(|| format!("bad --span value '{v}'"))?;
-            }
-            "--seed" => {
-                a.seed = value(&mut i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--scale" => {
-                a.scale = value(&mut i, "--scale")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-            }
+    let mut args = Argv::new(argv);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--system" => a.system = Some(args.value()?),
+            "--scenario" => a.scenario = Some(args.value()?),
+            "--policy" => a.policy = args.value()?,
+            "--backfill" => a.backfill = args.value()?,
+            "--scheduler" => a.scheduler = args.value()?,
+            "--engine" => a.engine = args.value_with(EngineMode::parse)?,
+            "-ff" => a.fast_forward = Some(args.duration()?),
+            "-t" => a.duration = Some(args.positive_duration()?),
+            "--load" => a.load = args.positive()?,
+            "--span" => a.span = args.positive_duration()?,
+            "--seed" => a.seed = args.num()?,
+            "--scale" => a.scale = args.positive()?,
             "-c" | "--cooling" => a.cooling = true,
             "--accounts" => a.accounts = true,
-            "--accounts-json" => {
-                a.accounts_json = Some(PathBuf::from(value(&mut i, "--accounts-json")?));
-            }
-            "--power-cap" => {
-                let v = value(&mut i, "--power-cap")?;
-                let kw: f64 = v.parse().map_err(|e| format!("bad --power-cap: {e}"))?;
-                if !(kw.is_finite() && kw > 0.0) {
-                    return Err(format!("bad --power-cap '{v}': need a finite kW value > 0"));
-                }
-                a.power_cap_kw = Some(kw);
-            }
-            "-o" | "--output" => a.out_dir = Some(PathBuf::from(value(&mut i, "--output")?)),
+            "--accounts-json" => a.accounts_json = Some(args.value()?.into()),
+            "--power-cap" => a.power_cap_kw = Some(args.positive()?),
+            "-o" | "--output" => a.out_dir = Some(args.value()?.into()),
             "--profile" => a.profile = true,
-            "--trace-out" => a.trace_out = Some(PathBuf::from(value(&mut i, "--trace-out")?)),
-            "--checkpoint" => a.checkpoint = Some(PathBuf::from(value(&mut i, "--checkpoint")?)),
-            "--checkpoint-at" => {
-                let v = value(&mut i, "--checkpoint-at")?;
-                a.checkpoint_at =
-                    Some(parse_duration(&v).ok_or_else(|| format!("bad --checkpoint-at '{v}'"))?);
-            }
-            "--resume" => a.resume = Some(PathBuf::from(value(&mut i, "--resume")?)),
-            "-h" | "--help" => return Err(USAGE.to_string()),
+            "--trace-out" => a.trace_out = Some(args.value()?.into()),
+            "--checkpoint" => a.checkpoint = Some(args.value()?.into()),
+            "--checkpoint-at" => a.checkpoint_at = Some(args.duration()?),
+            "--resume" => a.resume = Some(args.value()?.into()),
             other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
         }
-        i += 1;
     }
     if a.system.is_none() && a.scenario.is_none() {
         return Err(format!("need --system or --scenario\n\n{USAGE}"));
@@ -223,15 +177,9 @@ type RunInputs = (SystemConfig, Dataset, Option<(SimTime, SimTime)>);
 /// Build the (config, dataset, window) triple the run will use.
 fn build_inputs(a: &CliArgs) -> Result<RunInputs, String> {
     if let Some(name) = &a.scenario {
-        let s = match name.as_str() {
-            "fig4" => scenario::fig4(a.seed),
-            "fig5" => scenario::fig5(a.seed),
-            "fig6" => scenario::fig6_scaled(a.seed, a.scale),
-            "fig7" => scenario::fig7(a.seed, a.scale),
-            "fig8" => scenario::fig8_scaled(a.seed, a.scale),
-            "fig10" => scenario::fig10(a.seed, a.scale.min(4096.0 / 158_976.0)),
-            other => return Err(format!("unknown scenario '{other}'")),
-        };
+        let d = CliArgs::default();
+        let workload_flags = [(a.load != d.load, "--load"), (a.span != d.span, "--span")];
+        let s = scenario::by_name(name, a.seed, a.scale, &workload_flags)?;
         return Ok((s.config, s.dataset, Some((s.sim_start, s.sim_end))));
     }
     let name = a.system.as_deref().expect("checked in parse_args");
@@ -319,26 +267,23 @@ fn run(a: CliArgs) -> Result<(), String> {
         sim = sim.with_power_cap(cap);
     }
 
-    // Instrumentation is process-global; flip it on for exactly this run.
-    sraps_obs::set_profile(a.profile);
-    sraps_obs::set_trace(a.trace_out.is_some());
-    let mut engine = match &a.resume {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
-            let snap: EngineSnapshot = serde_json::from_str(&text)
-                .map_err(|e| format!("parse snapshot {}: {e}", path.display()))?;
-            Engine::builder(sim)
-                .resume(&snap)
-                .build(&dataset)
-                .map_err(|e| e.to_string())?
-        }
-        None => Engine::new(sim, &dataset).map_err(|e| e.to_string())?,
-    };
-    if let (Some(path), Some(at)) = (&a.checkpoint, a.checkpoint_at) {
-        // Pause at the tick boundary, persist, and stop: the snapshot is
-        // the run's artifact (resume it with --resume to finish).
-        let result = (|| -> Result<(), String> {
+    let out = observed(a.profile, a.trace_out.is_some(), || {
+        let mut engine = match &a.resume {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
+                let snap: EngineSnapshot = serde_json::from_str(&text)
+                    .map_err(|e| format!("parse snapshot {}: {e}", path.display()))?;
+                Engine::builder(sim)
+                    .resume(&snap)
+                    .build(&dataset)
+                    .map_err(|e| e.to_string())?
+            }
+            None => Engine::new(sim, &dataset).map_err(|e| e.to_string())?,
+        };
+        if let (Some(path), Some(at)) = (&a.checkpoint, a.checkpoint_at) {
+            // Pause at the tick boundary, persist, and stop: the snapshot
+            // is the run's artifact (resume it with --resume to finish).
             engine
                 .run_until(engine.sim_start() + at)
                 .map_err(|e| e.to_string())?;
@@ -346,21 +291,15 @@ fn run(a: CliArgs) -> Result<(), String> {
             let json = serde_json::to_string(&snap).map_err(|e| e.to_string())?;
             write_atomic(path, json.as_bytes())
                 .map_err(|e| format!("write snapshot {}: {e}", path.display()))?;
-            Ok(())
-        })();
-        sraps_obs::set_profile(false);
-        sraps_obs::set_trace(false);
-        result?;
-        println!("checkpoint written to {}", path.display());
+            println!("checkpoint written to {}", path.display());
+            return Ok(None);
+        }
+        engine.run().map(Some).map_err(|e| e.to_string())
+    })?;
+    let Some(out) = out else {
         return Ok(());
-    }
-    let out = engine.run().map_err(|e| e.to_string())?;
-    sraps_obs::set_profile(false);
-    sraps_obs::set_trace(false);
-    if let Some(path) = &a.trace_out {
-        sraps_obs::write_trace(path).map_err(|e| format!("write trace {}: {e}", path.display()))?;
-        eprintln!("trace written to {}", path.display());
-    }
+    };
+    write_trace(a.trace_out.as_deref())?;
 
     println!(
         "{}: {} jobs, util {:.1}%, mean {:.1} kW, peak {:.1} kW, {:.0}x real-time",
@@ -406,63 +345,24 @@ fn validate_trace(path: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `sraps sweep ...` — the experiment-matrix subcommand (sraps-exp).
-    if argv.first().map(String::as_str) == Some("sweep") {
-        return match sraps_exp::cli::sweep_command(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // `sraps serve ...` / `sraps query ...` — the resident what-if twin
-    // service and its NDJSON client (sraps-serve).
-    if argv.first().map(String::as_str) == Some("serve") {
-        return match sraps_serve::cli::serve_command(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("query") {
-        return match sraps_serve::cli::query_command(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // `sraps validate-trace PATH` — structural check of a --trace-out file.
-    if argv.first().map(String::as_str) == Some("validate-trace") {
-        let result = match argv.get(1) {
-            Some(path) if argv.len() == 2 => validate_trace(path),
+    let result = match argv.first().map(String::as_str) {
+        Some("sweep") => sraps_exp::cli::sweep_command(&argv[1..]),
+        Some("serve") => sraps_serve::cli::serve_command(&argv[1..]),
+        Some("query") => sraps_serve::cli::query_command(&argv[1..]),
+        Some("validate-trace") => match &argv[1..] {
+            [path] => validate_trace(path),
             _ => Err("usage: sraps validate-trace PATH".into()),
-        };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // Help is a success, on stdout (unlike usage-on-error).
-    if argv.iter().any(|a| a == "-h" || a == "--help") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    match parse_args(&argv) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        }
+        .map_err(|e| format!("error: {e}")),
+        // Help is a success, on stdout (unlike usage-on-error).
+        _ if argv.iter().any(|a| a == "-h" || a == "--help") => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        _ => parse_args(&argv).and_then(|a| run(a).map_err(|e| format!("error: {e}"))),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
@@ -582,6 +482,26 @@ mod tests {
     }
 
     #[test]
+    fn malformed_values_name_their_flag() {
+        for (flag, v) in [
+            ("--load", "nan"),
+            ("--load", "inf"),
+            ("--load", "0"),
+            ("--load", "-1"),
+            ("--scale", "nan"),
+            ("--scale", "-1"),
+            ("--scale", "0"),
+            ("--span", "0"),
+            ("-t", "0"),
+            ("-ff", "-1h"),
+            ("--checkpoint-at", "-1h"),
+        ] {
+            let e = parse(&["--system", "lassen", flag, v]).unwrap_err();
+            assert!(e.contains(&format!("bad {flag} value")), "{flag} {v}: {e}");
+        }
+    }
+
+    #[test]
     fn missing_value_is_an_error() {
         assert!(parse(&["--system"]).is_err());
         assert!(parse(&["--system", "adastra", "--power-cap"]).is_err());
@@ -663,5 +583,14 @@ mod tests {
         assert!(build_inputs(&a).is_err());
         let a = parse(&["--scenario", "fig99"]).unwrap();
         assert!(build_inputs(&a).is_err());
+        // A scenario fixes its own workload: flags it would ignore fail.
+        for (args, flag) in [
+            (&["--scenario", "fig5", "--load", "0.3"][..], "--load"),
+            (&["--scenario", "fig6", "--span", "2h"][..], "--span"),
+            (&["--scenario", "fig5", "--scale", "0.25"][..], "--scale"),
+        ] {
+            let e = build_inputs(&parse(args).unwrap()).unwrap_err();
+            assert!(e.contains(flag), "{args:?}: {e}");
+        }
     }
 }

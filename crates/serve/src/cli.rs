@@ -9,8 +9,8 @@
 
 use crate::protocol::{Request, Response};
 use crate::server::{serve, ServeConfig};
-use sraps_exp::ExperimentMatrix;
-use sraps_types::time::parse_duration;
+use sraps_exp::cli::{num, observed, positive, text, with_faults, Argv};
+use sraps_exp::{CellCache, ExperimentMatrix, FaultPlan};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -83,33 +83,20 @@ daemon and print each NDJSON response. Dropped connections and
   -h, --help             this help
 ";
 
-fn value(argv: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    argv.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    v.parse::<T>().map_err(|e| format!("bad {flag} '{v}': {e}"))
-}
-
-fn parse_list(v: &str) -> Vec<String> {
-    v.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
 pub fn serve_command(argv: &[String]) -> Result<(), String> {
     if argv.iter().any(|a| a == "-h" || a == "--help") {
         println!("{SERVE_USAGE}");
         return Ok(());
     }
+    let (cfg, faults_spec) = parse_serve_args(argv)?;
+    let result = with_faults(faults_spec.as_deref(), || {
+        observed(false, cfg.trace_out.is_some(), || serve(cfg))
+    })?;
+    result.map_err(|e| e.to_string())
+}
+
+/// The daemon's config, scenarios registered, and its `--faults` spec.
+fn parse_serve_args(argv: &[String]) -> Result<(ServeConfig, Option<String>), String> {
     let mut cfg = ServeConfig::default();
     let mut systems = vec!["lassen".to_string()];
     let mut loads = vec![0.8f64];
@@ -120,82 +107,40 @@ pub fn serve_command(argv: &[String]) -> Result<(), String> {
     let mut scale = 1.0f64;
     let mut cache_dir: Option<PathBuf> = None;
     let mut faults_spec: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => cfg.addr = value(argv, &mut i, "--addr")?,
-            "--systems" => systems = parse_list(&value(argv, &mut i, "--systems")?),
-            "--loads" => {
-                loads = parse_list(&value(argv, &mut i, "--loads")?)
-                    .iter()
-                    .map(|v| parse_num::<f64>(v, "--loads"))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--seed" => seed = parse_num(&value(argv, &mut i, "--seed")?, "--seed")?,
-            "--seeds" => seed_count = parse_num(&value(argv, &mut i, "--seeds")?, "--seeds")?,
-            "--seed-list" => {
-                seed_list = Some(
-                    parse_list(&value(argv, &mut i, "--seed-list")?)
-                        .iter()
-                        .map(|v| parse_num::<u64>(v, "--seed-list"))
-                        .collect::<Result<_, _>>()?,
-                );
-            }
-            "--span" => {
-                let v = value(argv, &mut i, "--span")?;
-                span = parse_duration(&v).ok_or_else(|| format!("bad --span value '{v}'"))?;
-            }
-            "--scale" => scale = parse_num(&value(argv, &mut i, "--scale")?, "--scale")?,
-            "--cache-dir" => cache_dir = Some(PathBuf::from(value(argv, &mut i, "--cache-dir")?)),
-            "--workers" => {
-                cfg.workers = parse_num(&value(argv, &mut i, "--workers")?, "--workers")?
-            }
-            "--max-pending" => {
-                cfg.max_pending =
-                    parse_num(&value(argv, &mut i, "--max-pending")?, "--max-pending")?;
-            }
-            "--per-client" => {
-                cfg.per_client = parse_num(&value(argv, &mut i, "--per-client")?, "--per-client")?;
-            }
-            "--default-deadline-ms" => {
-                cfg.default_deadline = Duration::from_millis(parse_num(
-                    &value(argv, &mut i, "--default-deadline-ms")?,
-                    "--default-deadline-ms",
-                )?);
-            }
-            "--max-deadline-ms" => {
-                cfg.max_deadline = Duration::from_millis(parse_num(
-                    &value(argv, &mut i, "--max-deadline-ms")?,
-                    "--max-deadline-ms",
-                )?);
-            }
-            "--retries" => {
-                cfg.retries = parse_num(&value(argv, &mut i, "--retries")?, "--retries")?
-            }
+    let mut args = Argv::new(argv);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--addr" => cfg.addr = args.value()?,
+            "--systems" => systems = args.list(text)?,
+            "--loads" => loads = args.list(positive)?,
+            "--seed" => seed = args.num()?,
+            "--seeds" => seed_count = args.num()?,
+            "--seed-list" => seed_list = Some(args.list(num)?),
+            "--span" => span = args.positive_duration()?,
+            "--scale" => scale = args.positive()?,
+            "--cache-dir" => cache_dir = Some(args.value()?.into()),
+            "--workers" => cfg.workers = args.num()?,
+            "--max-pending" => cfg.max_pending = args.num()?,
+            "--per-client" => cfg.per_client = args.num()?,
+            "--default-deadline-ms" => cfg.default_deadline = Duration::from_millis(args.num()?),
+            "--max-deadline-ms" => cfg.max_deadline = Duration::from_millis(args.num()?),
+            "--retries" => cfg.retries = args.num()?,
             "--faults" => {
-                let spec = value(argv, &mut i, "--faults")?;
-                sraps_exp::FaultPlan::parse(&spec).map_err(|e| e.to_string())?;
+                let spec = args.value()?;
+                FaultPlan::parse(&spec)?;
                 faults_spec = Some(spec);
             }
-            "--trace-out" => {
-                cfg.trace_out = Some(PathBuf::from(value(argv, &mut i, "--trace-out")?));
-            }
+            "--trace-out" => cfg.trace_out = Some(args.value()?.into()),
             "--quiet" => cfg.quiet = true,
             other => return Err(format!("unknown argument '{other}'\n\n{SERVE_USAGE}")),
         }
-        i += 1;
     }
     if cfg.workers == 0 {
         return Err("--workers must be >= 1".into());
     }
-    cfg.cache_dir = match cache_dir.or_else(|| {
-        std::env::var_os("SRAPS_CACHE_DIR")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
-    }) {
-        Some(dir) => dir,
-        None => return Err("serve needs --cache-dir (or SRAPS_CACHE_DIR)".into()),
-    };
+    cfg.cache_dir = cache_dir
+        .or_else(CellCache::env_dir)
+        .ok_or("serve needs --cache-dir (or SRAPS_CACHE_DIR)")?;
 
     // Scenario registration goes through the sweep's own matrix
     // expansion, so labels, validation, and workload fingerprints cannot
@@ -211,22 +156,7 @@ pub fn serve_command(argv: &[String]) -> Result<(), String> {
     };
     let (plans, _cells) = matrix.expand().map_err(|e| e.to_string())?;
     cfg.plans = plans;
-
-    // Fault injection is process-global and deterministic; arm it for
-    // exactly this daemon's lifetime. The flag wins over SRAPS_FAULTS.
-    let env_faults = sraps_types::string_env("SRAPS_FAULTS")
-        .map_err(|e| e.to_string())?
-        .filter(|s| !s.is_empty());
-    let fault_spec = faults_spec.or(env_faults);
-    if let Some(spec) = &fault_spec {
-        sraps_exp::faults::arm(sraps_exp::FaultPlan::parse(spec).map_err(|e| e.to_string())?);
-        eprintln!("faults armed: {spec}");
-    }
-    sraps_obs::set_trace(cfg.trace_out.is_some());
-    let result = serve(cfg);
-    sraps_exp::faults::disarm();
-    sraps_obs::set_trace(false);
-    result.map_err(|e| e.to_string())
+    Ok((cfg, faults_spec))
 }
 
 #[derive(Debug)]
@@ -248,44 +178,24 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
         assert_p50_ms: None,
         quiet: false,
     };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => a.addr = value(argv, &mut i, "--addr")?,
-            "--op" => a.req.op = Some(value(argv, &mut i, "--op")?),
-            "--scenario" => a.req.scenario = Some(value(argv, &mut i, "--scenario")?),
-            "--policy" => a.req.policy = Some(value(argv, &mut i, "--policy")?),
-            "--backfill" => a.req.backfill = Some(value(argv, &mut i, "--backfill")?),
-            "--power-cap" => {
-                a.req.power_cap_kw = Some(parse_num(
-                    &value(argv, &mut i, "--power-cap")?,
-                    "--power-cap",
-                )?);
-            }
-            "--cap-at" => {
-                let v = value(argv, &mut i, "--cap-at")?;
-                let d = parse_duration(&v).ok_or_else(|| format!("bad --cap-at value '{v}'"))?;
-                a.req.cap_at_s = Some(d.as_secs());
-            }
-            "--deadline-ms" => {
-                a.req.deadline_ms = Some(parse_num(
-                    &value(argv, &mut i, "--deadline-ms")?,
-                    "--deadline-ms",
-                )?);
-            }
-            "--client" => a.req.client = Some(value(argv, &mut i, "--client")?),
-            "--count" => a.count = parse_num(&value(argv, &mut i, "--count")?, "--count")?,
-            "--retries" => a.retries = parse_num(&value(argv, &mut i, "--retries")?, "--retries")?,
-            "--assert-p50-ms" => {
-                a.assert_p50_ms = Some(parse_num(
-                    &value(argv, &mut i, "--assert-p50-ms")?,
-                    "--assert-p50-ms",
-                )?);
-            }
+    let mut args = Argv::new(argv);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--addr" => a.addr = args.value()?,
+            "--op" => a.req.op = Some(args.value()?),
+            "--scenario" => a.req.scenario = Some(args.value()?),
+            "--policy" => a.req.policy = Some(args.value()?),
+            "--backfill" => a.req.backfill = Some(args.value()?),
+            "--power-cap" => a.req.power_cap_kw = Some(args.positive()?),
+            "--cap-at" => a.req.cap_at_s = Some(args.duration()?.as_secs()),
+            "--deadline-ms" => a.req.deadline_ms = Some(args.num()?),
+            "--client" => a.req.client = Some(args.value()?),
+            "--count" => a.count = args.num()?,
+            "--retries" => a.retries = args.num()?,
+            "--assert-p50-ms" => a.assert_p50_ms = Some(args.num()?),
             "--quiet" => a.quiet = true,
             other => return Err(format!("unknown argument '{other}'\n\n{QUERY_USAGE}")),
         }
-        i += 1;
     }
     if a.addr.is_empty() {
         return Err(format!("--addr is required\n\n{QUERY_USAGE}"));
@@ -474,6 +384,31 @@ mod tests {
         assert_eq!(a.req.deadline_ms, Some(2500));
         assert_eq!(a.count, 3);
         assert_eq!(a.assert_p50_ms, Some(5.0));
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        let query = ["--addr", "h:1", "--scenario", "lassen"];
+        for v in ["nan", "inf", "0", "-5"] {
+            let err = parse_query_args(&args(&[&query[..], &["--power-cap", v]].concat()));
+            assert!(err.unwrap_err().contains("bad --power-cap value"), "{v}");
+        }
+        let err = parse_query_args(&args(&[&query[..], &["--cap-at", "-1h"]].concat()));
+        assert!(err.unwrap_err().contains("bad --cap-at value"));
+
+        for (flag, v) in [
+            ("--loads", "nan"),
+            ("--loads", "0"),
+            ("--scale", "-3"),
+            ("--scale", "nan"),
+            ("--span", "0"),
+        ] {
+            let err = parse_serve_args(&args(&["--cache-dir", "c", flag, v])).unwrap_err();
+            assert!(
+                err.contains(&format!("bad {flag} value")),
+                "{flag} {v}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //!   claim leases, flush the obs trace, exit 0).
 //!
 //! [`protocol`] defines the wire schema, [`server`] the daemon,
-//! [`cli`] the `sraps serve` / `sraps query` subcommands. The `sraps`
-//! binary itself is built by this crate (the workspace's topmost crate)
-//! from `crates/core/src/bin/sraps.rs`.
+//! [`cli`] the `sraps serve` / `sraps query` subcommands.
 
 pub mod cli;
 pub mod protocol;

@@ -12,29 +12,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-/// Locate the `sraps` binary at runtime. The bin target lives in
-/// `crates/serve` (the CLI dispatches serve/query too), so
-/// `env!("CARGO_BIN_EXE_sraps")` is unavailable here; a workspace-level
-/// `cargo build`/`cargo test` places it next to the test binary's
-/// profile directory.
-fn sraps_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop();
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push("sraps");
-    assert!(
-        path.is_file(),
-        "sraps binary not built at {} — run a workspace-level `cargo build` \
-         (the bin target lives in crates/serve)",
-        path.display()
-    );
-    path
-}
-
 fn sraps() -> Command {
-    Command::new(sraps_bin())
+    Command::new(env!("CARGO_BIN_EXE_sraps"))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

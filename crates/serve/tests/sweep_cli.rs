@@ -4,21 +4,8 @@
 use std::path::Path;
 use std::process::Command;
 
-/// Locate the `sraps` binary at runtime — the bin target lives in
-/// `crates/serve` (see tests/multiprocess.rs for the rationale).
 fn sraps() -> Command {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop();
-    if path.ends_with("deps") {
-        path.pop();
-    }
-    path.push("sraps");
-    assert!(
-        path.is_file(),
-        "sraps binary not built at {} — run a workspace-level `cargo build`",
-        path.display()
-    );
-    Command::new(path)
+    Command::new(env!("CARGO_BIN_EXE_sraps"))
 }
 
 #[test]
@@ -260,6 +247,30 @@ fn cache_env_var_enables_and_no_cache_overrides() {
         "--no-cache suppresses caching entirely"
     );
     std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn empty_cache_env_var_is_unset() {
+    let cwd = std::env::temp_dir().join(format!("sraps-cli-empty-env-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = sraps()
+        .args([
+            "sweep", "--system", "lassen", "--span", "1h", "-q", "-o", "out",
+        ])
+        .env("SRAPS_CACHE_DIR", "")
+        .current_dir(&cwd)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("cache:"), "{stdout}");
+    let entries: Vec<_> = std::fs::read_dir(&cwd)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(entries, ["out"], "no cache entry in the working directory");
+    std::fs::remove_dir_all(&cwd).ok();
 }
 
 #[test]
