@@ -57,13 +57,7 @@ impl Case {
             .seed_count(1)
             .expand()
             .expect("plan");
-        let w = plans[0].materialize().expect("synthesize");
-        PrebuiltWorkload {
-            label: w.label,
-            config: w.config,
-            dataset: w.dataset,
-            window: None,
-        }
+        plans[0].materialize().expect("synthesize")
     }
 
     fn matrix(

@@ -133,9 +133,6 @@ pub struct SimConfig {
     /// Collection-phase account stats (`--accounts-json`), consumed by the
     /// experimental scheduler.
     pub accounts_in: Option<Accounts>,
-    /// Reference node power for Fugaku-point accrual, kW; default derives
-    /// from the system envelope midpoint.
-    pub reference_node_power_kw: Option<f64>,
     /// Facility job-power cap, kW: wraps the built-in scheduler in
     /// [`sraps_sched::PowerCapScheduler`] (energy-aware extension).
     pub power_cap_kw: Option<f64>,
@@ -165,7 +162,6 @@ impl SimConfig {
             cooling: false,
             track_accounts: false,
             accounts_in: None,
-            reference_node_power_kw: None,
             power_cap_kw: None,
             outages: Vec::new(),
             wetbulb_trace: None,
@@ -228,12 +224,11 @@ impl SimConfig {
         self
     }
 
-    /// Default Fugaku-point reference: the node power at 60 % utilization.
+    /// Reference node power for Fugaku-point accrual, kW: the node power
+    /// at 60 % utilization.
     pub fn reference_power_kw(&self) -> f64 {
-        self.reference_node_power_kw.unwrap_or_else(|| {
-            let p = &self.system.node_power;
-            (p.idle_node_w() + 0.6 * (p.peak_node_w() - p.idle_node_w())) / 1000.0
-        })
+        let p = &self.system.node_power;
+        (p.idle_node_w() + 0.6 * (p.peak_node_w() - p.idle_node_w())) / 1000.0
     }
 
     /// Validate cross-field consistency.

@@ -36,8 +36,8 @@ use sraps_extsched::{ExternalAdapter, FastSim, ScheduleFlow};
 use sraps_obs::{Counter, Phase as ObsPhase};
 use sraps_power::{node_power_from_telemetry, node_power_w, PowerModel};
 use sraps_sched::{
-    BuiltinScheduler, ExperimentalScheduler, JobQueue, QueuedJob, ResourceManager, RunningView,
-    SchedContext, SchedulerBackend,
+    BuiltinScheduler, JobQueue, QueuedJob, ResourceManager, RunningView, SchedContext,
+    SchedulerBackend,
 };
 use sraps_types::{
     Job, JobId, JobIdMap, NodeSet, Result, SimDuration, SimTime, SrapsError, Trace, TraceSegments,
@@ -233,11 +233,11 @@ impl<'a> MetricCursor<'a> {
     }
 }
 
-/// The simulation engine. Create with [`Engine::builder`] (or the
-/// [`Engine::new`] shorthand), run with [`Engine::run`] — or drive it
-/// incrementally with [`Engine::run_until`], capture the full state with
-/// [`Engine::snapshot`], and continue a capture via
-/// [`EngineBuilder::resume`].
+/// The simulation engine. Create with [`Engine::new`] (or
+/// [`Engine::with_window`] over a shared window), run with
+/// [`Engine::run`] — or drive it incrementally with [`Engine::run_until`],
+/// capture the full state with [`Engine::snapshot`], and continue a
+/// capture via [`Engine::resume`].
 pub struct Engine {
     sim: SimConfig,
     /// Loop cursor: the next tick instant to visit.
@@ -401,20 +401,10 @@ impl Engine {
     /// jobs, build the scheduler, and prepopulate jobs already running at
     /// the window start — "this allows us to represent the actual system
     /// condition as observed in the telemetry at start of the simulation".
-    ///
-    /// Shorthand for `Engine::builder(sim).build(dataset)`.
     pub fn new(sim: SimConfig, dataset: &Dataset) -> Result<Engine> {
-        Engine::builder(sim).build(dataset)
-    }
-
-    /// Start building an engine. [`EngineBuilder`] is the single
-    /// construction front: fresh engines, shared-window engines, and
-    /// engines resumed from an [`EngineSnapshot`] all go through it.
-    pub fn builder(sim: SimConfig) -> EngineBuilder<'static> {
-        EngineBuilder {
-            sim,
-            snapshot: None,
-        }
+        sim.validate()?;
+        let window = SimWindow::new(&sim, dataset)?;
+        Engine::with_window(sim, &window)
     }
 
     /// Like [`Engine::new`], but over a prebuilt [`SimWindow`] shared
@@ -449,6 +439,20 @@ impl Engine {
             );
             engine.activate(a);
         }
+        Ok(engine)
+    }
+
+    /// Continue from a previously captured [`EngineSnapshot`] instead of
+    /// starting fresh. The snapshot must come from an engine over the
+    /// same dataset window. With the same config the resumed run
+    /// finishes bit-identically to the original. The config may differ
+    /// in late-binding axes — a power cap applied or removed, a policy
+    /// switch — which take effect from the snapshot's instant on:
+    /// scheduler state round-trips across compatible backend variants,
+    /// and the queue re-sorts under the new policy exactly once.
+    pub fn resume(sim: SimConfig, window: &SimWindow, snap: &EngineSnapshot) -> Result<Engine> {
+        let mut engine = Engine::bare(sim, window)?;
+        engine.apply_snapshot(snap)?;
         Ok(engine)
     }
 
@@ -543,7 +547,10 @@ impl Engine {
             move |q: &QueuedJob| durations.get(&q.id).copied().unwrap_or(tick)
         };
         Ok(match sim.scheduler {
-            SchedulerSelect::Default => {
+            // The experimental scheduler (§4.3) is the builtin one ranking
+            // by the collection-phase accounts `Engine::schedule` hands it;
+            // validation keeps power caps to the default scheduler.
+            SchedulerSelect::Default | SchedulerSelect::Experimental => {
                 let builtin = BuiltinScheduler::new(sim.policy, sim.backfill);
                 match sim.power_cap_kw {
                     Some(cap_kw) => Box::new(sraps_sched::PowerCapScheduler::new(
@@ -554,11 +561,6 @@ impl Engine {
                     None => Box::new(builtin),
                 }
             }
-            SchedulerSelect::Experimental => Box::new(ExperimentalScheduler::new(
-                sim.policy,
-                sim.backfill,
-                sim.accounts_in.clone().expect("validated"),
-            )?),
             SchedulerSelect::ScheduleFlow => Box::new(ExternalAdapter::new(
                 ScheduleFlow::new(sim.system.total_nodes),
                 true, // strict: report over-allocation as error (§4.2.1 AE)
@@ -786,9 +788,15 @@ impl Engine {
         if self.queue.is_empty() {
             return Ok(0);
         }
+        let accounts = match self.sim.scheduler {
+            // Experimental runs rank by the collection run's table, never
+            // by the one this run accumulates.
+            SchedulerSelect::Experimental => self.sim.accounts_in.as_ref(),
+            _ => self.sim.track_accounts.then_some(&self.accounts),
+        };
         let ctx = SchedContext {
             running: &self.running,
-            accounts: self.sim.track_accounts.then_some(&self.accounts),
+            accounts,
         };
         // The placement buffer is owned by the engine and reused across
         // calls, so a scheduler invocation allocates no list of its own.
@@ -1432,7 +1440,10 @@ impl Engine {
         let profile = run_capture.finish();
         Ok(SimOutput {
             label,
-            scheduler_name: self.scheduler.name(),
+            scheduler_name: match self.sim.scheduler {
+                SchedulerSelect::Experimental => self.sim.scheduler.name(),
+                _ => self.scheduler.name(),
+            },
             times: self.times,
             power: self.power_hist,
             cooling: self.cooling_hist,
@@ -1451,55 +1462,6 @@ impl Engine {
     }
 }
 
-/// Builder for [`Engine`]: the single construction front unifying fresh
-/// starts, shared-window construction, and snapshot resumes.
-///
-/// ```ignore
-/// let engine = Engine::builder(sim).build(&dataset)?;            // fresh
-/// let engine = Engine::builder(sim).resume(&snap).build(&ds)?;   // resumed
-/// let engine = Engine::builder(sim).build_in_window(&window)?;   // shared
-/// ```
-pub struct EngineBuilder<'a> {
-    sim: SimConfig,
-    snapshot: Option<&'a EngineSnapshot>,
-}
-
-impl<'a> EngineBuilder<'a> {
-    /// Continue from a previously captured [`EngineSnapshot`] instead of
-    /// starting fresh. The snapshot must come from an engine over the
-    /// same dataset window. With the same config the resumed run
-    /// finishes bit-identically to the original. The config may differ
-    /// in late-binding axes — a power cap applied or removed, a policy
-    /// switch — which take effect from the snapshot's instant on:
-    /// scheduler state round-trips across compatible backend variants,
-    /// and the queue re-sorts under the new policy exactly once.
-    pub fn resume<'b>(self, snap: &'b EngineSnapshot) -> EngineBuilder<'b> {
-        EngineBuilder {
-            sim: self.sim,
-            snapshot: Some(snap),
-        }
-    }
-
-    /// Build over `dataset`, selecting the window from the config.
-    pub fn build(self, dataset: &Dataset) -> Result<Engine> {
-        self.sim.validate()?;
-        let window = SimWindow::new(&self.sim, dataset)?;
-        self.build_in_window(&window)
-    }
-
-    /// Build over a prebuilt [`SimWindow`] shared with other engines.
-    pub fn build_in_window(self, window: &SimWindow) -> Result<Engine> {
-        match self.snapshot {
-            None => Engine::with_window(self.sim, window),
-            Some(snap) => {
-                let mut engine = Engine::bare(self.sim, window)?;
-                engine.apply_snapshot(snap)?;
-                Ok(engine)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1512,6 +1474,12 @@ mod tests {
         spec.span = SimDuration::hours(4);
         let ds = adastra::synthesize(&cfg, &spec);
         (cfg, ds)
+    }
+
+    /// Resume `snap` under `sim` over the window `sim` selects of `ds`.
+    fn resume(sim: SimConfig, ds: &Dataset, snap: &EngineSnapshot) -> Result<Engine> {
+        let window = SimWindow::new(&sim, ds)?;
+        Engine::resume(sim, &window, snap)
     }
 
     #[test]
@@ -1848,12 +1816,7 @@ mod tests {
             .run_until(ds.capture_start + SimDuration::hours(2))
             .unwrap();
         let snap = paused.snapshot().unwrap();
-        let resumed = Engine::builder(sim())
-            .resume(&snap)
-            .build(&ds)
-            .unwrap()
-            .run()
-            .unwrap();
+        let resumed = resume(sim(), &ds, &snap).unwrap().run().unwrap();
 
         assert_eq!(baseline.times, resumed.times);
         assert_eq!(baseline.outcomes, resumed.outcomes);
@@ -1875,14 +1838,7 @@ mod tests {
             .run_until(ds.capture_start + SimDuration::hours(1))
             .unwrap();
         let snap = prefix.snapshot().unwrap();
-        let fork = |sim: SimConfig| {
-            Engine::builder(sim)
-                .resume(&snap)
-                .build(&ds)
-                .unwrap()
-                .run()
-                .unwrap()
-        };
+        let fork = |sim: SimConfig| resume(sim, &ds, &snap).unwrap().run().unwrap();
 
         // Fork 1: same config — must finish identically to a straight run.
         let same = fork(base.clone());
@@ -1925,8 +1881,87 @@ mod tests {
             .unwrap();
         let mut snap = e.snapshot().unwrap();
         snap.schema += 1;
-        let err = Engine::builder(sim).resume(&snap).build(&ds).err();
+        let err = resume(sim, &ds, &snap).err();
         assert!(matches!(err, Some(SrapsError::Snapshot(_))), "{err:?}");
+    }
+
+    #[test]
+    fn experimental_runs_rank_by_the_collected_accounts() {
+        let cfg = presets::adastra();
+        let (half, all) = (cfg.total_nodes / 2, cfg.total_nodes);
+        // The collection run found account 1 frugal and account 2 hot.
+        let mut collected = Accounts::new(1.0);
+        for (account, kw) in [(1, 0.3), (2, 1.8)] {
+            collected.record(&JobOutcome {
+                id: JobId(0),
+                user: sraps_types::UserId(0),
+                account: sraps_types::AccountId(account),
+                nodes: 8,
+                submit: SimTime::ZERO,
+                start: SimTime::ZERO,
+                end: SimTime::seconds(3600),
+                energy_kwh: kw * 8.0,
+                avg_node_power_kw: kw,
+                avg_cpu_util: 0.5,
+                avg_gpu_util: 0.5,
+                priority: 0.0,
+            });
+        }
+        let job = |id: u64, account: u32, submit: i64, start: i64, nodes: u32, node_w: f32| {
+            sraps_types::job::JobBuilder::new(id)
+                .account(account)
+                .submit(SimTime::seconds(submit))
+                .window(SimTime::seconds(start), SimTime::seconds(start + 3600))
+                .walltime(SimDuration::hours(1))
+                .nodes(nodes)
+                .telemetry(sraps_types::JobTelemetry::from_scalars(
+                    0.5,
+                    Some(0.5),
+                    node_w,
+                ))
+                .build()
+        };
+        // In this run account 1 draws 2.5 kW a node and account 2 0.5 kW,
+        // so when jobs 1 and 2 end at 1 h the live table ranks account 1
+        // the hotter. Jobs 3 (account 2) and 4 (account 1) each want the
+        // whole machine, so one of them starts at 1 h and one at 2 h.
+        let ds = Dataset::new(
+            "adastra",
+            vec![
+                job(1, 1, 0, 0, half, 2500.0),
+                job(2, 2, 0, 0, half, 500.0),
+                job(3, 2, 1800, 3600, all, 1000.0),
+                job(4, 1, 1800, 7200, all, 1000.0),
+            ],
+        );
+        let first_of_3_and_4 = |scheduler: SchedulerSelect| {
+            let sim = SimConfig::new(cfg.clone(), "acct_low_avg_power", "none")
+                .unwrap()
+                .with_window(SimTime::ZERO, SimTime::seconds(5 * 3600))
+                .with_scheduler(scheduler)
+                .with_accounts_json(collected.clone());
+            let out = Engine::new(sim, &ds).unwrap().run().unwrap();
+            let live = |a| out.accounts.get(sraps_types::AccountId(a)).unwrap();
+            assert!(live(1).avg_node_power_kw > live(2).avg_node_power_kw);
+            let start = |id| {
+                out.outcomes
+                    .iter()
+                    .find(|o| o.id == JobId(id))
+                    .unwrap()
+                    .start
+            };
+            assert_ne!(start(3), start(4));
+            if start(3) < start(4) {
+                3
+            } else {
+                4
+            }
+        };
+        // The default scheduler ranks by the live table: frugal-now
+        // account 2 first. The experimental one keeps the collected
+        // ranking: account 1 first.
+        assert_eq!(first_of_3_and_4(SchedulerSelect::Default), 3);
+        assert_eq!(first_of_3_and_4(SchedulerSelect::Experimental), 4);
     }
 
     #[test]

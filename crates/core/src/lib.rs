@@ -45,7 +45,7 @@ pub mod snapshot;
 pub mod validate;
 
 pub use config::{EngineMode, Outage, SchedulerSelect, SimConfig};
-pub use engine::{Engine, EngineBuilder, SimWindow};
+pub use engine::{Engine, SimWindow};
 pub use fingerprint::{Fingerprint, Fingerprinter, ENGINE_SCHEMA_VERSION};
 pub use output::SimOutput;
 pub use snapshot::{ActiveSnapshot, EngineSnapshot};

@@ -5,11 +5,10 @@
 //! boundary — everything [`crate::Engine::run`] mutates, and nothing it
 //! can rebuild deterministically from the config and the shared window
 //! (completion heap, running views, trace profiles, outage edges, the
-//! physical models). Restore goes through
-//! [`crate::EngineBuilder::resume`]; the snapshot carries
-//! [`crate::fingerprint::ENGINE_SCHEMA_VERSION`], so a snapshot written
-//! by an engine whose state layout has since changed is rejected instead
-//! of silently resuming wrong.
+//! physical models). Restore goes through [`crate::Engine::resume`]; the
+//! snapshot carries [`crate::fingerprint::ENGINE_SCHEMA_VERSION`], so a
+//! snapshot written by an engine whose state layout has since changed is
+//! rejected instead of silently resuming wrong.
 //!
 //! Because `--checkpoint` files outlive the process that wrote them, the
 //! schema is pinned by a golden fixture in the repo's test suite: any
@@ -85,16 +84,4 @@ pub struct EngineSnapshot {
     /// The cooling plant's integrated loop temperature, if cooling is on
     /// (its only mutable state; the plant itself rebuilds from the spec).
     pub cooling_loop_temp_c: Option<f64>,
-}
-
-impl EngineSnapshot {
-    /// Simulated time still ahead of the paused instant, in ticks.
-    pub fn ticks_remaining(&self) -> i64 {
-        self.remaining
-    }
-
-    /// The paused instant.
-    pub fn paused_at(&self) -> SimTime {
-        self.now
-    }
 }

@@ -37,4 +37,4 @@ pub mod synthetic;
 
 pub use dataset::Dataset;
 pub use packer::{pack_jobs, JobSpec, PackedJob};
-pub use synthetic::WorkloadSpec;
+pub use synthetic::{WorkloadSpec, MAX_OFFERED_LOAD};

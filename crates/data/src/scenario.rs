@@ -301,19 +301,6 @@ fn build_fugaku_dataset(config: &SystemConfig, specs: Vec<JobSpec>, seed: u64) -
     Dataset::new(&config.name, jobs)
 }
 
-/// The scaled variants benches and tests use (documented in
-/// EXPERIMENTS.md): full systems for Marconi100/Adastra, scaled Frontier
-/// and Fugaku.
-pub fn all_scenarios_scaled(seed: u64) -> Vec<Scenario> {
-    vec![
-        fig4(seed),
-        fig5(seed),
-        fig6_scaled(seed, 0.125),
-        fig7(seed, 0.125),
-        fig10(seed, 4096.0 / 158_976.0),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

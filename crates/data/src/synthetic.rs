@@ -19,6 +19,13 @@ use sraps_types::{JobTelemetry, SimDuration, SimTime, Trace};
 /// Mean of the diurnal acceptance curve with the default night floor.
 const DIURNAL_MEAN: f64 = 0.625;
 
+/// The heaviest offered load a caller may ask a synthetic workload for:
+/// ten times the machine's capacity. Arrivals are drawn in O(load × span),
+/// so an unbounded load runs for minutes to forever; the heaviest load
+/// any paper scenario, bench or test uses is 1.3 (Fig 10's overload
+/// phase).
+pub const MAX_OFFERED_LOAD: f64 = 10.0;
+
 /// Statistical description of a workload to synthesize.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {

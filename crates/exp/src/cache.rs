@@ -31,7 +31,7 @@
 
 use crate::metrics::CellMetrics;
 use serde::{Deserialize, Serialize};
-use sraps_types::{Result, SrapsError};
+use sraps_types::{fsio, Result, SrapsError};
 use std::path::{Path, PathBuf};
 
 /// Envelope-format version: bump when the entry layout changes (old
@@ -162,7 +162,11 @@ impl CellCache {
 
     /// Store a finished cell, optionally spilling its history CSVs.
     /// Histories are installed before the envelope so a reader that sees
-    /// the entry is guaranteed to see its histories too.
+    /// the entry is guaranteed to see its histories too. Two threads can
+    /// store one key (labels are not hashed, so two workloads can share
+    /// content under different labels); [`fsio::write_atomic`] gives each
+    /// writer its own temp file, so at worst they race identical bytes
+    /// through `rename`.
     pub fn store(
         &self,
         key: &str,
@@ -173,8 +177,8 @@ impl CellCache {
         let _s = sraps_obs::span(sraps_obs::Phase::CacheWrite);
         if let Some((power_csv, util_csv)) = histories {
             let (power, util) = self.history_paths(key);
-            self.write_atomic(&power, power_csv.as_bytes())?;
-            self.write_atomic(&util, util_csv.as_bytes())?;
+            fsio::write_atomic(&power, power_csv.as_bytes())?;
+            fsio::write_atomic(&util, util_csv.as_bytes())?;
         }
         let entry = CacheEntry {
             schema: CACHE_SCHEMA_VERSION,
@@ -184,18 +188,7 @@ impl CellCache {
         };
         let json = serde_json::to_string_pretty(&entry)
             .map_err(|e| SrapsError::Io(format!("serialize cache entry {key}: {e}")))?;
-        self.write_atomic(&self.entry_path(key), json.as_bytes())
-    }
-
-    /// Temp file + rename in the same directory (the workspace-wide
-    /// [`sraps_types::fsio::write_atomic`] idiom); the temp name carries
-    /// the pid (processes sharing a cache dir) plus a process-wide
-    /// counter (threads storing the same key — possible when two
-    /// workloads share content under different labels, since labels are
-    /// excluded from keys), so concurrent writers never collide on the
-    /// temp path and at worst race identical bytes through `rename`.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        sraps_types::fsio::write_atomic(path, bytes)
+        fsio::write_atomic(&self.entry_path(key), json.as_bytes())
     }
 }
 

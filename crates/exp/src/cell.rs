@@ -1,17 +1,17 @@
 //! Cells and workloads: the concrete units a sweep executes.
 //!
 //! [`WorkloadPlan`] describes *how to obtain* a dataset (synthesize by
-//! system/load/seed, or use a prebuilt one); [`MaterializedWorkload`] is
-//! the dataset in memory, shared by every cell that uses it;
-//! [`CellSpec`] is one simulation to run — it knows how to turn itself
-//! into a [`SimConfig`] against its workload.
+//! system/load/seed, or use a prebuilt one); materializing it yields a
+//! [`PrebuiltWorkload`], the dataset in memory, shared by every cell that
+//! uses it; [`CellSpec`] is one simulation to run — it knows how to turn
+//! itself into a [`SimConfig`] against its workload.
 
 use crate::matrix::PrebuiltWorkload;
 use sraps_acct::Accounts;
 use sraps_core::{EngineMode, Fingerprint, Fingerprinter, SchedulerSelect, SimConfig};
 use sraps_data::{Dataset, WorkloadSpec};
 use sraps_systems::{presets, SystemConfig};
-use sraps_types::{Result, SimDuration, SimTime, SrapsError};
+use sraps_types::{Result, SimDuration, SrapsError};
 use std::sync::Arc;
 
 /// How to obtain one workload of the sweep.
@@ -50,9 +50,7 @@ impl WorkloadPlan {
         }
     }
 
-    /// The workload seed, when synthetic — identical to what
-    /// [`WorkloadPlan::materialize`] records, so cache hits can fill in
-    /// workload metadata without building the dataset.
+    /// The workload seed, when synthetic.
     pub fn seed(&self) -> Option<u64> {
         match self {
             WorkloadPlan::Synthetic { seed, .. } => Some(*seed),
@@ -109,33 +107,24 @@ impl WorkloadPlan {
     }
 
     /// Build the dataset. Deterministic: same plan ⇒ identical workload.
-    pub fn materialize(&self) -> Result<MaterializedWorkload> {
+    pub fn materialize(&self) -> Result<PrebuiltWorkload> {
         match self {
-            WorkloadPlan::Prebuilt(w) => Ok(MaterializedWorkload {
-                label: w.label.clone(),
-                group: w.label.clone(),
-                seed: None,
-                config: w.config.clone(),
-                dataset: Arc::clone(&w.dataset),
-                window: w.window,
-            }),
+            WorkloadPlan::Prebuilt(w) => Ok((**w).clone()),
             WorkloadPlan::Synthetic {
                 label,
-                group,
                 system,
                 load,
                 seed,
                 span,
                 scale,
+                ..
             } => {
                 let cfg = system_scaled(system, *scale)?;
                 let mut spec = WorkloadSpec::for_system(&cfg, *load, *seed);
                 spec.span = *span;
                 let dataset = synthesize_by_name(system, &cfg, &spec)?;
-                Ok(MaterializedWorkload {
+                Ok(PrebuiltWorkload {
                     label: label.clone(),
-                    group: group.clone(),
-                    seed: Some(*seed),
                     config: cfg,
                     dataset: Arc::new(dataset),
                     window: None,
@@ -172,20 +161,6 @@ pub fn synthesize_by_name(
     })
 }
 
-/// A workload in memory. The dataset sits behind an [`Arc`] so worker
-/// threads share one copy.
-#[derive(Debug, Clone)]
-pub struct MaterializedWorkload {
-    pub label: String,
-    /// Seed-aggregation group (label minus the seed component).
-    pub group: String,
-    /// The workload seed, when synthetic.
-    pub seed: Option<u64>,
-    pub config: SystemConfig,
-    pub dataset: Arc<Dataset>,
-    pub window: Option<(SimTime, SimTime)>,
-}
-
 /// One simulation of the sweep: a schedule-axis point bound to a workload.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
@@ -206,8 +181,6 @@ pub struct CellSpec {
     /// that differ only in `power_cap_kw` then share one prefix.
     pub cap_at: Option<SimDuration>,
     pub scheduler: SchedulerSelect,
-    /// Main-loop core for every run of the cell (tick vs event).
-    pub engine: EngineMode,
     /// Collection-phase accounts for the experimental scheduler.
     pub accounts_in: Option<Accounts>,
 }
@@ -219,10 +192,7 @@ impl CellSpec {
     /// Hashes every sim-relevant schedule-axis field in fixed order; the
     /// positional fields (`index`, `workload`) and the display `label`
     /// are excluded, so the same simulation is shared across matrices
-    /// that arrange or name it differently. `engine` *is* included: the
-    /// cores are bit-identical today (the parity suite pins it), but a
-    /// cache must never bet correctness on a property a future change
-    /// could relax.
+    /// that arrange or name it differently.
     pub fn fingerprint(&self, workload_fp: Fingerprint) -> Fingerprint {
         let mut fp = Fingerprinter::new();
         fp.write_fingerprint(workload_fp);
@@ -247,7 +217,9 @@ impl CellSpec {
             None => fp.write_u8(0),
         }
         fp.write_str(self.scheduler.name());
-        fp.write_str(self.engine.name());
+        // Cells always run the event core; its name stays in the key so
+        // existing cache entries keep theirs.
+        fp.write_str(EngineMode::Event.name());
         match &self.accounts_in {
             // `Accounts` holds a BTreeMap — Debug order is deterministic.
             Some(accounts) => {
@@ -291,7 +263,7 @@ impl CellSpec {
     }
 
     /// Materialize the cell's [`SimConfig`] against its workload.
-    pub fn build_sim(&self, workload: &MaterializedWorkload) -> Result<SimConfig> {
+    pub fn build_sim(&self, workload: &PrebuiltWorkload) -> Result<SimConfig> {
         let mut sim = SimConfig::new(workload.config.clone(), &self.policy, &self.backfill)?;
         if let Some((start, end)) = workload.window {
             sim = sim.with_window(start, end);
@@ -302,9 +274,7 @@ impl CellSpec {
         if let Some(cap) = self.power_cap_kw {
             sim = sim.with_power_cap(cap);
         }
-        sim = sim
-            .with_scheduler(self.scheduler.clone())
-            .with_engine(self.engine);
+        sim = sim.with_scheduler(self.scheduler.clone());
         if let Some(accounts) = &self.accounts_in {
             sim = sim.with_accounts_json(accounts.clone());
         }
@@ -357,7 +327,6 @@ mod tests {
             power_cap_kw: None,
             cap_at: None,
             scheduler: SchedulerSelect::Default,
-            engine: EngineMode::default(),
             accounts_in: None,
         };
         let sim = cell.build_sim(&w).unwrap();

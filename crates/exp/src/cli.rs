@@ -21,8 +21,7 @@ use crate::faults::{self, FaultPlan};
 use crate::matrix::ExperimentMatrix;
 use crate::report::Report;
 use crate::runner::{SweepOptions, SweepRunner};
-use sraps_core::EngineMode;
-use sraps_data::scenario;
+use sraps_data::{scenario, MAX_OFFERED_LOAD};
 use sraps_types::fsio::write_atomic;
 use sraps_types::time::parse_duration;
 use sraps_types::SimDuration;
@@ -36,7 +35,8 @@ usage: sraps sweep (--system NAMES | --scenario NAMES) [options]
 workload axes:
   --system NAMES         comma-separated: frontier|marconi100|fugaku|lassen|adastra
   --scenario NAMES       comma-separated paper scenarios: fig4|fig5|fig6|fig7|fig8|fig10
-  --loads F,F            offered loads for synthetic workloads (default 0.8)
+  --loads F,F            offered loads for synthetic workloads, each at
+                         most 10 (default 0.8)
   --seeds N              number of consecutive seeds (default 1)
   --seed N               first seed (default 42)
   --span DUR             synthetic workload span (default 1d; accepts 1h, 15d, 61000)
@@ -59,8 +59,6 @@ run shape:
                          once per sweep and fork from an in-memory
                          snapshot of it (output is identical to running
                          each cell alone)
-  --engine E             event|tick main-loop core for every cell
-                         (default event; both produce identical output)
 
 execution & output:
   --jobs N               worker threads (default: all cores)
@@ -85,10 +83,6 @@ fault tolerance:
   --fail-fast            abort the whole sweep on the first cell that
                          exhausts its retries, instead of collecting it
                          into the failed-cells table
-  --no-claims            skip the per-cell claim leases cached sweeps use
-                         to partition work across cooperating processes
-                         (claim TTL/poll tune via SRAPS_CLAIM_TTL_MS and
-                         SRAPS_CLAIM_POLL_MS)
   --faults SPEC          arm the deterministic fault-injection harness
                          (also: SRAPS_FAULTS env; the flag wins). SPEC is
                          comma-separated entries KIND@INDEX or KIND%RATE
@@ -105,7 +99,11 @@ caching & memory:
                          misses simulate and write back atomically
   --cache-dir DIR        cache location (implies --cache; default
                          $SRAPS_CACHE_DIR, else OUTPUT/cache). Setting
-                         SRAPS_CACHE_DIR also enables caching.
+                         SRAPS_CACHE_DIR also enables caching. A cached
+                         sweep leases each miss with a claim file, so
+                         cooperating processes on one cache never
+                         simulate a cell twice (claim TTL/poll tune via
+                         SRAPS_CLAIM_TTL_MS and SRAPS_CLAIM_POLL_MS)
   --no-cache             disable caching even if SRAPS_CACHE_DIR is set
   --metrics-only         drop each cell's full output after folding it
                          into metrics: sweep memory stays O(cells), and
@@ -130,7 +128,6 @@ pub struct SweepArgs {
     pub power_caps: Vec<Option<f64>>,
     /// `--cap-at DUR`: defer every cell's cap until this offset.
     pub cap_at: Option<SimDuration>,
-    pub engine: EngineMode,
     pub jobs: Option<usize>,
     pub baseline: Option<String>,
     pub out_dir: PathBuf,
@@ -152,8 +149,6 @@ pub struct SweepArgs {
     pub retries: Option<u32>,
     /// `--fail-fast`: abort on the first permanently failed cell.
     pub fail_fast: bool,
-    /// `--no-claims` clears this (claim leases are on by default).
-    pub claims: bool,
     /// `--faults SPEC`: validated fault-plan spec (armed at run time).
     pub faults: Option<String>,
 }
@@ -174,7 +169,6 @@ impl Default for SweepArgs {
             cooling: false,
             power_caps: vec![None],
             cap_at: None,
-            engine: EngineMode::default(),
             jobs: None,
             baseline: None,
             out_dir: PathBuf::from("simulation_results").join("sweep"),
@@ -187,7 +181,6 @@ impl Default for SweepArgs {
             trace_out: None,
             retries: None,
             fail_fast: false,
-            claims: true,
             faults: None,
         }
     }
@@ -263,6 +256,12 @@ impl<'a> Argv<'a> {
         positive(self.flag, &v)
     }
 
+    /// The value as an offered load (see [`offered_load`]).
+    pub fn offered_load(&mut self) -> Result<f64, String> {
+        let v = self.value()?;
+        offered_load(self.flag, &v)
+    }
+
     /// The value as a duration (`61000`, `30m`, `2h`, `15d`), never
     /// negative.
     pub fn duration(&mut self) -> Result<SimDuration, String> {
@@ -318,6 +317,19 @@ pub fn positive(flag: &str, v: &str) -> Result<f64, String> {
         return Err(format!("bad {flag} value '{v}': need a finite number > 0"));
     }
     Ok(x)
+}
+
+/// `v`, a value of `flag`, as an offered load: a finite number > 0 and
+/// at most [`MAX_OFFERED_LOAD`].
+pub fn offered_load(flag: &str, v: &str) -> Result<f64, String> {
+    let load = positive(flag, v)?;
+    if load > MAX_OFFERED_LOAD {
+        return Err(format!(
+            "bad {flag} value '{v}': need a load ≤ {MAX_OFFERED_LOAD} \
+             (ten times the machine's capacity)"
+        ));
+    }
+    Ok(load)
 }
 
 /// `v` as it stands: the item reader for lists of names.
@@ -379,7 +391,7 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 }
                 a.pairs = Some(pairs);
             }
-            "--loads" => a.loads = args.list(positive)?,
+            "--loads" => a.loads = args.list(offered_load)?,
             "--seeds" => {
                 a.seed_count = args.num()?;
                 if a.seed_count == 0 {
@@ -397,7 +409,6 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
                 })?;
             }
             "--cap-at" => a.cap_at = Some(args.duration()?),
-            "--engine" => a.engine = args.value_with(EngineMode::parse)?,
             "--jobs" => {
                 let n = args.num()?;
                 if n == 0 {
@@ -435,7 +446,6 @@ pub fn parse_sweep_args(argv: &[String]) -> Result<SweepArgs, String> {
             "--trace-out" => a.trace_out = Some(args.value()?.into()),
             "--retries" => a.retries = Some(args.num()?),
             "--fail-fast" => a.fail_fast = true,
-            "--no-claims" => a.claims = false,
             "--faults" => {
                 let spec = args.value()?;
                 // Validate eagerly so a typo fails before any simulation.
@@ -488,7 +498,7 @@ pub fn build_matrix(a: &SweepArgs) -> Result<ExperimentMatrix, String> {
     if a.cooling {
         matrix = matrix.with_cooling();
     }
-    matrix = matrix.power_caps_kw(a.power_caps.clone()).engine(a.engine);
+    matrix = matrix.power_caps_kw(a.power_caps.clone());
     if let Some(at) = a.cap_at {
         matrix = matrix.power_cap_at(at);
     }
@@ -514,7 +524,6 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
     let mut opts = SweepOptions::new()
         .progress(!a.quiet)
         .metrics_only(a.metrics_only)
-        .claims(a.claims)
         .fail_fast(a.fail_fast);
     if let Some(retries) = a.retries {
         opts = opts.retries(retries);
@@ -534,7 +543,7 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
     // A ctrl-c'd (or SIGTERM'd) sweep must not leave claim files behind
     // for cooperating processes to wait a full TTL on: latch the signal,
     // release every live lease, exit 130.
-    if cache_dir.is_some() && a.claims {
+    if cache_dir.is_some() {
         crate::claims::install_interrupt_release();
     }
 
@@ -722,18 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_parses_and_reaches_the_matrix() {
-        let a = parse(&["--system", "lassen", "--engine", "tick"]).unwrap();
-        assert_eq!(a.engine, EngineMode::Tick);
-        build_matrix(&a).unwrap();
-        assert_eq!(
-            parse(&["--system", "lassen"]).unwrap().engine,
-            EngineMode::Event
-        );
-        assert!(parse(&["--system", "lassen", "--engine", "warp"]).is_err());
-    }
-
-    #[test]
     fn cache_flags_parse_and_resolve() {
         // Note: resolution is checked only for explicit flags here; the
         // SRAPS_CACHE_DIR auto-enable path is covered end-to-end in the
@@ -836,6 +833,7 @@ mod tests {
             ("--loads", "inf"),
             ("--loads", "0"),
             ("--loads", "-1"),
+            ("--loads", "1e6"),
             ("--scale", "nan"),
             ("--scale", "-1"),
             ("--span", "0"),

@@ -63,7 +63,7 @@ pub mod report;
 pub mod runner;
 
 pub use cache::{CellCache, CACHE_SCHEMA_VERSION};
-pub use cell::{CellSpec, MaterializedWorkload, WorkloadPlan};
+pub use cell::{CellSpec, WorkloadPlan};
 pub use claims::{release_all_live, ClaimOutcome, ClaimSet, Lease};
 pub use faults::FaultPlan;
 pub use matrix::{ExperimentMatrix, PrebuiltWorkload};

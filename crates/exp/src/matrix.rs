@@ -10,9 +10,9 @@
 
 use crate::cell::{CellSpec, WorkloadPlan};
 use sraps_acct::Accounts;
-use sraps_core::{EngineMode, SchedulerSelect};
+use sraps_core::SchedulerSelect;
 use sraps_data::scenario::Scenario;
-use sraps_data::Dataset;
+use sraps_data::{Dataset, MAX_OFFERED_LOAD};
 use sraps_sched::{BackfillKind, PolicyKind};
 use sraps_systems::{presets, SystemConfig};
 use sraps_types::{Result, SimDuration, SimTime, SrapsError};
@@ -73,8 +73,6 @@ pub struct ExperimentMatrix {
     /// prefix before it (see [`ExperimentMatrix::power_cap_at`]).
     cap_at: Option<SimDuration>,
     scheduler: SchedulerSelect,
-    /// Main-loop core for every cell (default: the hybrid event core).
-    engine: EngineMode,
     accounts_in: Option<Accounts>,
 }
 
@@ -101,7 +99,6 @@ impl ExperimentMatrix {
             power_caps_kw: vec![None],
             cap_at: None,
             scheduler: SchedulerSelect::Default,
-            engine: EngineMode::default(),
             accounts_in: None,
         }
     }
@@ -121,7 +118,6 @@ impl ExperimentMatrix {
             power_caps_kw: vec![None],
             cap_at: None,
             scheduler: SchedulerSelect::Default,
-            engine: EngineMode::default(),
             accounts_in: None,
         }
     }
@@ -243,13 +239,6 @@ impl ExperimentMatrix {
         self
     }
 
-    /// Main-loop core for every cell (default: the hybrid event core;
-    /// `EngineMode::Tick` restores the paper's fixed-tick loop).
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Collection-phase accounts for the experimental incentive scheduler.
     pub fn accounts_in(mut self, accounts: Accounts) -> Self {
         self.accounts_in = Some(accounts);
@@ -363,7 +352,6 @@ impl ExperimentMatrix {
                             power_cap_kw: cap,
                             cap_at: self.cap_at,
                             scheduler: self.scheduler.clone(),
-                            engine: self.engine,
                             accounts_in: self.accounts_in.clone(),
                         });
                     }
@@ -414,8 +402,10 @@ impl ExperimentMatrix {
                     presets::system_by_name(system)
                         .ok_or_else(|| SrapsError::Config(format!("unknown system '{system}'")))?;
                     for &load in loads {
-                        if !load.is_finite() || load <= 0.0 {
-                            return Err(SrapsError::Config(format!("non-positive load {load}")));
+                        if !(load > 0.0 && load <= MAX_OFFERED_LOAD) {
+                            return Err(SrapsError::Config(format!(
+                                "offered load {load} outside (0, {MAX_OFFERED_LOAD}]"
+                            )));
                         }
                         for &seed in seeds {
                             let mut group = system.clone();
@@ -491,6 +481,10 @@ mod tests {
         assert!(ExperimentMatrix::synthetic(["summit"]).expand().is_err());
         assert!(ExperimentMatrix::synthetic(["lassen"])
             .loads([0.0])
+            .expand()
+            .is_err());
+        assert!(ExperimentMatrix::synthetic(["lassen"])
+            .loads([1e6])
             .expand()
             .is_err());
     }

@@ -18,9 +18,10 @@
 //! is installed.
 
 use crate::cache::CellCache;
-use crate::cell::{CellSpec, MaterializedWorkload, WorkloadPlan};
+use crate::cell::{CellSpec, WorkloadPlan};
 use crate::claims::{ClaimOutcome, Lease};
 use crate::faults;
+use crate::matrix::PrebuiltWorkload;
 use crate::metrics::CellMetrics;
 use crate::runner::SweepOptions;
 use crate::ClaimSet;
@@ -40,7 +41,7 @@ pub struct WorkloadMemo {
     /// The plan's fingerprint, when cells are keyed by content (a cache
     /// is in play).
     pub fp: Option<Fingerprint>,
-    dataset: OnceLock<Result<MaterializedWorkload>>,
+    dataset: OnceLock<Result<PrebuiltWorkload>>,
     window: OnceLock<Result<SimWindow>>,
     /// Shared prefix snapshots by [`CellSpec::prefix_fingerprint`]: one
     /// slot per prefix that two or more cells fork from, fixed before
@@ -76,7 +77,7 @@ impl WorkloadMemo {
 
     /// The materialized dataset. A failure here is a configuration error
     /// (bad scenario path, malformed plan), not a cell failure.
-    pub fn materialized(&self) -> Result<&MaterializedWorkload> {
+    pub fn materialized(&self) -> Result<&PrebuiltWorkload> {
         self.dataset
             .get_or_init(|| self.plan.materialize())
             .as_ref()
@@ -135,8 +136,9 @@ impl Step {
     }
 }
 
-/// A cache miss's claim: owned (with a lease, or unclaimed when claims
-/// are off or the claim layer is down), or held by another process.
+/// A cache miss's claim: owned (with a lease, or unclaimed without a
+/// claim set or when the claim layer is down), or held by another
+/// process.
 enum Claim {
     Own(Option<Lease>),
     Contended,
@@ -257,7 +259,7 @@ impl CellJob<'_> {
     /// cap — from the memo's shared prefix when other cells fork from it
     /// too, from a private one otherwise — which makes sharing
     /// bit-identical to not sharing by construction.
-    fn simulate(&self, workload: &MaterializedWorkload) -> Result<SimOutput> {
+    fn simulate(&self, workload: &PrebuiltWorkload) -> Result<SimOutput> {
         let cell = self.cell;
         let sim = cell.build_sim(workload)?;
         let window = self.workload.window(&sim, &workload.dataset)?;
@@ -278,10 +280,7 @@ impl CellJob<'_> {
                 &private
             }
         };
-        Engine::builder(sim)
-            .resume(snap)
-            .build_in_window(window)?
-            .run()
+        Engine::resume(sim, window, snap)?.run()
     }
 
     /// Write back, degrading instead of failing: transient errors retry

@@ -222,12 +222,6 @@ pub struct SweepOptions {
     /// — how `--write-histories` survives metrics-only and cached
     /// sweeps.
     pub spill_histories: bool,
-    /// Lease each cache miss via a `<key>.claim` file before simulating
-    /// (requires `cache_dir`; on by default) so cooperating processes
-    /// sharing one cache directory never simulate the same cell twice.
-    /// Contended cells are deferred, then served from the cache once
-    /// the lease holder completes — or reclaimed if it died.
-    pub claims: bool,
     /// Retries per cell after a panic or transient I/O failure before
     /// the cell lands in the failed-cells table (total attempts =
     /// `retries + 1`).
@@ -244,7 +238,6 @@ impl Default for SweepOptions {
             cache_dir: None,
             metrics_only: false,
             spill_histories: false,
-            claims: true,
             retries: 2,
             fail_fast: false,
         }
@@ -273,11 +266,6 @@ impl SweepOptions {
 
     pub fn spill_histories(mut self, on: bool) -> Self {
         self.spill_histories = on;
-        self
-    }
-
-    pub fn claims(mut self, on: bool) -> Self {
-        self.claims = on;
         self
     }
 
@@ -363,8 +351,6 @@ impl SweepRunner {
         // cache). Synthetic plans fingerprint without building their
         // dataset, so a fully warm sweep synthesizes nothing; datasets
         // materialize when a cell actually misses.
-        // Uncached sweeps simulate every cell, so they materialize every
-        // dataset up front and phase 2 saturates immediately.
         let fingerprints = if cache.is_some() {
             self.fingerprint_plans(&plans, &steals)?
                 .into_iter()
@@ -395,21 +381,13 @@ impl SweepRunner {
                 WorkloadMemo::new(plan, fp).share_prefixes(shared.into_keys())
             })
             .collect();
-        if cache.is_none() {
-            let built = run_indexed(self.jobs, workloads.len(), &steals, |i| {
-                workloads[i].materialized().map(drop)
-            });
-            collect_ordered(built)?;
-        }
-
-        // Claim leases guard misses when both a cache and the (default
-        // on) claims option are configured: cooperating processes
-        // sharing the cache directory partition the matrix instead of
-        // simulating cells twice.
-        let claims = match (&cache, self.opts.claims) {
-            (Some(c), true) => Some(ClaimSet::open(c.dir())?),
-            _ => None,
-        };
+        // Claim leases guard the misses of a cached sweep: cooperating
+        // processes sharing the cache directory partition the matrix
+        // instead of simulating cells twice.
+        let claims = cache
+            .as_ref()
+            .map(|c| ClaimSet::open(c.dir()))
+            .transpose()?;
 
         // Phase 2: cells, cursor-parallel, collected by index into
         // matrix order. Cells whose claim is held by another process are
@@ -426,8 +404,9 @@ impl SweepRunner {
         };
         // Dispatch every workload's first cell before the rest (each part
         // in matrix order), so concurrent workers build different
-        // workloads' windows in parallel rather than queueing behind one
-        // build, then run each workload's cells back to back.
+        // workloads' datasets and windows in parallel rather than
+        // queueing behind one build, then run each workload's cells back
+        // to back.
         let mut seen = vec![false; workloads.len()];
         let (mut order, rest): (Vec<usize>, Vec<usize>) =
             (0..total).partition(|&i| !std::mem::replace(&mut seen[cells[i].workload], true));
@@ -550,8 +529,8 @@ impl CellExec<'_> {
         let plan = &workload.plan;
         Ok(Some(CellResult {
             spec: cell.clone(),
-            // Plan-derived metadata is identical to what materialization
-            // would record, so hit and miss paths produce the same rows.
+            // Metadata comes from the plan, not the built dataset, so hit
+            // and miss paths produce the same rows.
             workload_label: plan.label(),
             workload_group: plan.group(),
             seed: plan.seed(),

@@ -5,7 +5,7 @@
 //! cache silently went stale: bump `ENGINE_SCHEMA_VERSION` and repin).
 
 use proptest::prelude::*;
-use sraps_core::{EngineMode, Fingerprint, SchedulerSelect};
+use sraps_core::{Fingerprint, SchedulerSelect};
 use sraps_data::{Dataset, WorkloadSpec};
 use sraps_exp::{CellSpec, ExperimentMatrix, PrebuiltWorkload, SweepRunner, WorkloadPlan};
 use sraps_systems::{presets, SystemConfig};
@@ -29,14 +29,7 @@ fn plan(system: &str, load: f64, seed: u64, span_hours: i64, scale: f64) -> Work
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cell(
-    policy: &str,
-    backfill: &str,
-    cooling: bool,
-    power_cap_kw: Option<f64>,
-    engine: EngineMode,
-) -> CellSpec {
+fn cell(policy: &str, backfill: &str, cooling: bool, power_cap_kw: Option<f64>) -> CellSpec {
     CellSpec {
         index: 0,
         label: "probe-cell".into(),
@@ -47,7 +40,6 @@ fn cell(
         power_cap_kw,
         cap_at: None,
         scheduler: SchedulerSelect::Default,
-        engine,
         accounts_in: None,
     }
 }
@@ -58,23 +50,12 @@ type Axes = (
     (i64, f64),           // span hours, scale
     (usize, usize, bool), // policy index, backfill index, cooling
     (f64, bool),          // power cap value, cap present
-    bool,                 // engine: true ⇒ event, false ⇒ tick
 );
 
 fn key_of(a: &Axes) -> String {
-    let ((sys, load, seed), (span, scale), (pol, bf, cooling), (cap, capped), event) = *a;
+    let ((sys, load, seed), (span, scale), (pol, bf, cooling), (cap, capped)) = *a;
     let plan = plan(SYSTEMS[sys], load, seed, span, scale);
-    let spec = cell(
-        POLICIES[pol],
-        BACKFILLS[bf],
-        cooling,
-        capped.then_some(cap),
-        if event {
-            EngineMode::Event
-        } else {
-            EngineMode::Tick
-        },
-    );
+    let spec = cell(POLICIES[pol], BACKFILLS[bf], cooling, capped.then_some(cap));
     spec.fingerprint(plan.fingerprint().expect("known system"))
         .hex()
 }
@@ -89,7 +70,6 @@ fn axes_strategy() -> impl Strategy<Value = Axes> {
             any::<bool>(),
         ),
         (100.0f64..5000.0, any::<bool>()),
-        any::<bool>(),
     )
 }
 
@@ -142,8 +122,6 @@ proptest! {
             let mut m = a; m.3.0 += cap_bump;
             prop_assert!(key_of(&m) != base, "cap value mutation kept the key");
         }
-        let mut m = a; m.4 = !m.4;
-        prop_assert!(key_of(&m) != base, "engine mutation kept the key");
     }
 
     /// Recomputing in the same process is deterministic (the on-disk
@@ -164,7 +142,7 @@ fn golden_keys_pin_the_schema() {
     let wfp = plan("lassen", 0.7, 42, 24, 1.0)
         .fingerprint()
         .expect("lassen is a preset");
-    let base = cell("fcfs", "easy", true, Some(1500.0), EngineMode::Event);
+    let base = cell("fcfs", "easy", true, Some(1500.0));
     assert_eq!(
         base.fingerprint(wfp).hex(),
         "37dae47215ddbc576b81ddb927d8fdf0",
@@ -209,7 +187,7 @@ fn golden_keys_pin_the_schema() {
 #[test]
 fn scheduler_axis_changes_the_key() {
     let wfp = plan("lassen", 0.7, 42, 24, 1.0).fingerprint().unwrap();
-    let a = cell("fcfs", "easy", false, None, EngineMode::Event);
+    let a = cell("fcfs", "easy", false, None);
     let mut b = a.clone();
     b.scheduler = SchedulerSelect::FastSim;
     assert_ne!(a.fingerprint(wfp), b.fingerprint(wfp));
@@ -220,7 +198,7 @@ fn scheduler_axis_changes_the_key() {
 #[test]
 fn cosmetic_fields_do_not_affect_the_key() {
     let wfp = plan("lassen", 0.7, 42, 24, 1.0).fingerprint().unwrap();
-    let a = cell("fcfs", "easy", false, None, EngineMode::Event);
+    let a = cell("fcfs", "easy", false, None);
     let mut b = a.clone();
     b.label = "renamed/other-label".into();
     b.index = 99;

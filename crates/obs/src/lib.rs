@@ -107,12 +107,9 @@ pub enum Phase {
     /// One `sraps serve` request, admission to response (warm answers
     /// close it on the connection thread, cold ones on a worker).
     ServeRequest,
-    /// Time a cold `sraps serve` request spent in the pending queue
-    /// before a worker picked it up.
-    ServeQueueWait,
 }
 
-const PHASE_COUNT: usize = 13;
+const PHASE_COUNT: usize = 12;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
@@ -128,7 +125,6 @@ impl Phase {
         Phase::SweepCell,
         Phase::SweepRun,
         Phase::ServeRequest,
-        Phase::ServeQueueWait,
     ];
 
     pub const fn name(self) -> &'static str {
@@ -145,7 +141,6 @@ impl Phase {
             Phase::SweepCell => "sweep.cell",
             Phase::SweepRun => "sweep.run",
             Phase::ServeRequest => "serve.request",
-            Phase::ServeQueueWait => "serve.queue_wait",
         }
     }
 }
@@ -215,20 +210,9 @@ pub enum Counter {
     /// Cache write-backs degraded to a warning (disk full, permission
     /// denied, …); the cell result still flowed to the report.
     CacheWriteErrors,
-    /// `sraps serve` requests admitted (warm or queued for a worker).
-    ServeRequests,
-    /// `sraps serve` requests rejected at admission (queue full,
-    /// per-client cap, injected accept-fail, draining).
-    ServeRejected,
-    /// `sraps serve` requests that hit their deadline and returned a
-    /// structured timeout instead of a result.
-    ServeTimeouts,
-    /// Requests still pending or in flight when a drain began, all of
-    /// which completed (or timed out) before the daemon exited.
-    ServeDrained,
 }
 
-const COUNTER_COUNT: usize = 29;
+const COUNTER_COUNT: usize = 25;
 
 impl Counter {
     pub const ALL: [Counter; COUNTER_COUNT] = [
@@ -257,10 +241,6 @@ impl Counter {
         Counter::CellsFailed,
         Counter::FaultsInjected,
         Counter::CacheWriteErrors,
-        Counter::ServeRequests,
-        Counter::ServeRejected,
-        Counter::ServeTimeouts,
-        Counter::ServeDrained,
     ];
 
     pub const fn name(self) -> &'static str {
@@ -290,10 +270,6 @@ impl Counter {
             Counter::CellsFailed => "sweep.cells_failed",
             Counter::FaultsInjected => "faults.injected",
             Counter::CacheWriteErrors => "cache.write_errors",
-            Counter::ServeRequests => "serve.requests",
-            Counter::ServeRejected => "serve.rejected",
-            Counter::ServeTimeouts => "serve.timeouts",
-            Counter::ServeDrained => "serve.drained",
         }
     }
 
@@ -325,10 +301,6 @@ impl Counter {
             Counter::CellsFailed => "cells that exhausted retries (failed-cells table)",
             Counter::FaultsInjected => "faults fired by an armed fault plan",
             Counter::CacheWriteErrors => "cache write-backs degraded to a warning",
-            Counter::ServeRequests => "serve requests admitted (warm or queued)",
-            Counter::ServeRejected => "serve requests rejected at admission",
-            Counter::ServeTimeouts => "serve requests that returned a structured timeout",
-            Counter::ServeDrained => "requests in flight when a graceful drain began",
         }
     }
 }
@@ -381,22 +353,6 @@ pub fn add(counter: Counter, n: u64) {
         return;
     }
     REC.with(|r| relaxed_add(&r.counters[counter as usize], n));
-}
-
-/// Record one already-measured occurrence of `phase` (`ns` nanoseconds).
-/// For durations that span threads — e.g. a serve request's queue wait
-/// starts on the connection thread and ends on a worker — where a RAII
-/// [`span`] cannot be carried across. Profile-only (no trace events:
-/// chrome-trace B/E pairs must share a thread).
-#[inline]
-pub fn record(phase: Phase, ns: u64) {
-    if !profile_enabled() {
-        return;
-    }
-    REC.with(|r| {
-        relaxed_add(&r.phase_ns[phase as usize], ns);
-        relaxed_add(&r.phase_calls[phase as usize], 1);
-    });
 }
 
 // ------------------------------------------------------------------ spans

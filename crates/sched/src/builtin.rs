@@ -633,6 +633,64 @@ mod tests {
         );
     }
 
+    /// A collection-phase table: account 1 drew 0.3 kW per node, account
+    /// 2 drew 1.8 kW.
+    fn collected_accounts() -> sraps_acct::Accounts {
+        let mut acc = sraps_acct::Accounts::new(1.0);
+        for (acct, power) in [(1u32, 0.3f64), (2, 1.8)] {
+            acc.record(&sraps_acct::JobOutcome {
+                id: JobId(0),
+                user: sraps_types::UserId(0),
+                account: AccountId(acct),
+                nodes: 8,
+                submit: SimTime::ZERO,
+                start: SimTime::ZERO,
+                end: SimTime::seconds(3600),
+                energy_kwh: power * 8.0,
+                avg_node_power_kw: power,
+                avg_cpu_util: 0.5,
+                avg_gpu_util: 0.0,
+                priority: 1.0,
+            });
+        }
+        acc
+    }
+
+    /// The one job `policy` starts when account 2's job 10 and account
+    /// 1's job 11 both want the whole machine, ranked by the collected
+    /// accounts in the context.
+    fn account_race(policy: PolicyKind) -> JobId {
+        let mut s = BuiltinScheduler::new(policy, BackfillKind::None);
+        let mut rm = ResourceManager::new(4);
+        let mut q = JobQueue::new();
+        for (id, account) in [(10, 2), (11, 1)] {
+            let mut job = qj(id, 0, 4, 100);
+            job.account = AccountId(account);
+            q.push(job);
+        }
+        let accounts = collected_accounts();
+        let ctx = SchedContext {
+            running: &[],
+            accounts: Some(&accounts),
+        };
+        let mut placed = Vec::new();
+        s.schedule(SimTime::ZERO, &mut q, &mut rm, &ctx, &mut placed)
+            .unwrap();
+        assert_eq!(placed.len(), 1);
+        placed[0].job
+    }
+
+    #[test]
+    fn fugaku_points_policy_prefers_frugal_account() {
+        assert_eq!(account_race(PolicyKind::AcctFugakuPts), JobId(11));
+    }
+
+    #[test]
+    fn low_avg_power_policy_inverts_avg_power_policy() {
+        assert_eq!(account_race(PolicyKind::AcctAvgPower), JobId(10));
+        assert_eq!(account_race(PolicyKind::AcctLowAvgPower), JobId(11));
+    }
+
     #[test]
     fn no_double_allocation_across_ticks() {
         let mut s = BuiltinScheduler::new(PolicyKind::Fcfs, BackfillKind::FirstFit);

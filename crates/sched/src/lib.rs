@@ -8,13 +8,12 @@
 //! with enabling external schedulers.
 //!
 //! Built-in policies: FCFS, SJF, LJF, priority, replay (the original RAPS
-//! mechanism), the account-incentive policies of §4.3
-//! ([`experimental`]), and the ML score policy of §4.4. Backfill options:
-//! none, first-fit, and EASY \[36\].
+//! mechanism), the account-incentive policies of §4.3 (which rank by the
+//! accounts in [`SchedContext`]), and the ML score policy of §4.4.
+//! Backfill options: none, first-fit, and EASY \[36\].
 
 pub mod backfill;
 pub mod builtin;
-pub mod experimental;
 pub mod policy;
 pub mod power_cap;
 pub mod queue;
@@ -24,7 +23,6 @@ pub mod timeline;
 
 pub use backfill::BackfillKind;
 pub use builtin::BuiltinScheduler;
-pub use experimental::ExperimentalScheduler;
 pub use policy::PolicyKind;
 pub use power_cap::PowerCapScheduler;
 pub use queue::{JobQueue, OrderStamp, QueuedJob};

@@ -140,8 +140,7 @@ impl PolicyKind {
     /// from-scratch reference. The scheduler hot path uses
     /// [`PolicyKind::order_incremental`], which produces the identical
     /// order.
-    pub fn order(self, queue: &mut JobQueue, ctx: &SchedContext<'_>, now: sraps_types::SimTime) {
-        let _ = now;
+    pub fn order(self, queue: &mut JobQueue, ctx: &SchedContext<'_>) {
         queue.sort_by_key_stable(|j| self.sort_key(ctx, j));
     }
 
@@ -222,7 +221,7 @@ mod tests {
         q.push(qj(1, 30, 1, 10, 0.0, 0));
         q.push(qj(2, 10, 1, 10, 0.0, 0));
         q.push(qj(3, 20, 1, 10, 0.0, 0));
-        PolicyKind::Fcfs.order(&mut q, &empty_ctx(), SimTime::ZERO);
+        PolicyKind::Fcfs.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![2, 3, 1]);
     }
 
@@ -232,7 +231,7 @@ mod tests {
         q.push(qj(1, 0, 1, 300, 0.0, 0));
         q.push(qj(2, 0, 1, 100, 0.0, 0));
         q.push(qj(3, 0, 1, 200, 0.0, 0));
-        PolicyKind::Sjf.order(&mut q, &empty_ctx(), SimTime::ZERO);
+        PolicyKind::Sjf.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![2, 3, 1]);
     }
 
@@ -242,7 +241,7 @@ mod tests {
         q.push(qj(1, 0, 4, 10, 0.0, 0));
         q.push(qj(2, 0, 64, 10, 0.0, 0));
         q.push(qj(3, 0, 16, 10, 0.0, 0));
-        PolicyKind::Ljf.order(&mut q, &empty_ctx(), SimTime::ZERO);
+        PolicyKind::Ljf.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![2, 3, 1]);
     }
 
@@ -255,12 +254,11 @@ mod tests {
         let mut q = JobQueue::new();
         q.push(qj(1, 0, 1, 10, 1.0, 0)); // low priority, waited 10 h
         q.push(qj(2, 9 * 3600, 1, 10, 5.0, 0)); // high priority, waited 1 h
-        let now = SimTime::seconds(10 * 3600);
-        PolicyKind::PriorityAging.order(&mut q, &empty_ctx(), now);
+        PolicyKind::PriorityAging.order(&mut q, &empty_ctx());
         // 1.0 + 10 h > 5.0 + 1 h → the old job wins.
         assert_eq!(ids(&q), vec![1, 2]);
         // Without aging, priority alone would pick job 2.
-        PolicyKind::Priority.order(&mut q, &empty_ctx(), now);
+        PolicyKind::Priority.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![2, 1]);
     }
 
@@ -269,7 +267,7 @@ mod tests {
         let mut q = JobQueue::new();
         q.push(qj(1, 0, 1, 10, 1.0, 0));
         q.push(qj(2, 0, 1, 10, 9.0, 0));
-        PolicyKind::Priority.order(&mut q, &empty_ctx(), SimTime::ZERO);
+        PolicyKind::Priority.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![2, 1]);
     }
 
@@ -284,7 +282,7 @@ mod tests {
         q.push(a);
         q.push(b);
         q.push(c);
-        PolicyKind::Ml.order(&mut q, &empty_ctx(), SimTime::ZERO);
+        PolicyKind::Ml.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![2, 1, 3]);
     }
 
@@ -321,13 +319,13 @@ mod tests {
         q.push(qj(1, 0, 1, 10, 0.0, 1)); // frugal account
         q.push(qj(2, 0, 1, 10, 0.0, 2)); // hot account
 
-        PolicyKind::AcctAvgPower.order(&mut q, &ctx, SimTime::ZERO);
+        PolicyKind::AcctAvgPower.order(&mut q, &ctx);
         assert_eq!(ids(&q), vec![2, 1], "high average power first");
 
-        PolicyKind::AcctLowAvgPower.order(&mut q, &ctx, SimTime::ZERO);
+        PolicyKind::AcctLowAvgPower.order(&mut q, &ctx);
         assert_eq!(ids(&q), vec![1, 2], "low average power first");
 
-        PolicyKind::AcctFugakuPts.order(&mut q, &ctx, SimTime::ZERO);
+        PolicyKind::AcctFugakuPts.order(&mut q, &ctx);
         assert_eq!(ids(&q), vec![1, 2], "frugal account earned the points");
     }
 
@@ -336,7 +334,7 @@ mod tests {
         let mut q = JobQueue::new();
         q.push(qj(2, 5, 1, 10, 0.0, 7));
         q.push(qj(1, 0, 1, 10, 0.0, 7));
-        PolicyKind::AcctEdp.order(&mut q, &empty_ctx(), SimTime::ZERO);
+        PolicyKind::AcctEdp.order(&mut q, &empty_ctx());
         assert_eq!(ids(&q), vec![1, 2], "ties fall back to submit order");
     }
 

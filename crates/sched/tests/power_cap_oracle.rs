@@ -108,7 +108,7 @@ fn reference(
         })
         .collect();
     let mut order = queue.clone();
-    inner.policy().order(&mut order, &ctx(running), now);
+    inner.policy().order(&mut order, &ctx(running));
     let admitted: Vec<JobId> = placements.iter().map(|p| p.job).collect();
     order.remove_placed(&admitted);
     let mut machine = rm.clone();

@@ -24,7 +24,9 @@
 //! only simulates the cells that changed; `--metrics-only` bounds sweep
 //! memory for very large matrices.
 
-use sraps_core::{Engine, EngineMode, EngineSnapshot, SchedulerSelect, SimConfig, SimOutput};
+use sraps_core::{
+    Engine, EngineMode, EngineSnapshot, SchedulerSelect, SimConfig, SimOutput, SimWindow,
+};
 use sraps_data::{scenario, Dataset, WorkloadSpec};
 use sraps_exp::cli::{observed, write_trace, Argv};
 use sraps_systems::SystemConfig;
@@ -109,7 +111,7 @@ options:
                          bit-identical, tick is the paper's fixed-tick loop)
   -ff SECS               fast-forward: simulation window start
   -t DUR                 simulation duration (accepts 61000, 1h, 15d, …)
-  --load F               synthetic offered load (default 0.8)
+  --load F               synthetic offered load, at most 10 (default 0.8)
   --span DUR             synthetic workload span (default 1d)
   --seed N               synthetic workload seed (default 42)
   --scale F              scale large machines (frontier/fugaku) by F
@@ -145,7 +147,7 @@ fn parse_args(argv: &[String]) -> Result<CliArgs, String> {
             "--engine" => a.engine = args.value_with(EngineMode::parse)?,
             "-ff" => a.fast_forward = Some(args.duration()?),
             "-t" => a.duration = Some(args.positive_duration()?),
-            "--load" => a.load = args.positive()?,
+            "--load" => a.load = args.offered_load()?,
             "--span" => a.span = args.positive_duration()?,
             "--seed" => a.seed = args.num()?,
             "--scale" => a.scale = args.positive()?,
@@ -274,9 +276,8 @@ fn run(a: CliArgs) -> Result<(), String> {
                     .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
                 let snap: EngineSnapshot = serde_json::from_str(&text)
                     .map_err(|e| format!("parse snapshot {}: {e}", path.display()))?;
-                Engine::builder(sim)
-                    .resume(&snap)
-                    .build(&dataset)
+                SimWindow::new(&sim, &dataset)
+                    .and_then(|window| Engine::resume(sim, &window, &snap))
                     .map_err(|e| e.to_string())?
             }
             None => Engine::new(sim, &dataset).map_err(|e| e.to_string())?,
@@ -488,6 +489,7 @@ mod tests {
             ("--load", "inf"),
             ("--load", "0"),
             ("--load", "-1"),
+            ("--load", "1e6"),
             ("--scale", "nan"),
             ("--scale", "-1"),
             ("--scale", "0"),

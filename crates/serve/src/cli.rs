@@ -9,7 +9,7 @@
 
 use crate::protocol::{Request, Response};
 use crate::server::{serve, ServeConfig};
-use sraps_exp::cli::{num, observed, positive, text, with_faults, Argv};
+use sraps_exp::cli::{observed, offered_load, text, with_faults, Argv};
 use sraps_exp::{CellCache, ExperimentMatrix, FaultPlan};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -29,10 +29,9 @@ in-flight cells finish, claim leases are released, the trace flushes.
 
 scenarios (same synthetic axes as `sraps sweep`):
   --systems LIST         comma-separated preset systems (default lassen)
-  --loads LIST           offered loads (default 0.8)
+  --loads LIST           offered loads, each at most 10 (default 0.8)
   --seed N               base workload seed (default 42)
   --seeds N              seeds per (system, load): N from --seed up
-  --seed-list LIST       explicit seeds (overrides --seeds)
   --span DUR             synthetic workload span (default 1d)
   --scale F              scale large machines by F
 
@@ -102,7 +101,6 @@ fn parse_serve_args(argv: &[String]) -> Result<(ServeConfig, Option<String>), St
     let mut loads = vec![0.8f64];
     let mut seed = 42u64;
     let mut seed_count = 1u64;
-    let mut seed_list: Option<Vec<u64>> = None;
     let mut span = sraps_types::SimDuration::days(1);
     let mut scale = 1.0f64;
     let mut cache_dir: Option<PathBuf> = None;
@@ -112,10 +110,9 @@ fn parse_serve_args(argv: &[String]) -> Result<(ServeConfig, Option<String>), St
         match flag {
             "--addr" => cfg.addr = args.value()?,
             "--systems" => systems = args.list(text)?,
-            "--loads" => loads = args.list(positive)?,
+            "--loads" => loads = args.list(offered_load)?,
             "--seed" => seed = args.num()?,
             "--seeds" => seed_count = args.num()?,
-            "--seed-list" => seed_list = Some(args.list(num)?),
             "--span" => span = args.positive_duration()?,
             "--scale" => scale = args.positive()?,
             "--cache-dir" => cache_dir = Some(args.value()?.into()),
@@ -145,15 +142,12 @@ fn parse_serve_args(argv: &[String]) -> Result<(ServeConfig, Option<String>), St
     // Scenario registration goes through the sweep's own matrix
     // expansion, so labels, validation, and workload fingerprints cannot
     // drift between `sraps sweep` and the daemon.
-    let mut matrix = ExperimentMatrix::synthetic(systems.iter().map(String::as_str))
+    let matrix = ExperimentMatrix::synthetic(systems.iter().map(String::as_str))
         .loads(loads.iter().copied())
+        .seed_count_from(seed, seed_count)
         .span(span)
         .scale(scale)
         .policies(["fcfs"]);
-    matrix = match seed_list {
-        Some(seeds) => matrix.seeds(seeds),
-        None => matrix.seed_count_from(seed, seed_count),
-    };
     let (plans, _cells) = matrix.expand().map_err(|e| e.to_string())?;
     cfg.plans = plans;
     Ok((cfg, faults_spec))
@@ -399,6 +393,7 @@ mod tests {
         for (flag, v) in [
             ("--loads", "nan"),
             ("--loads", "0"),
+            ("--loads", "1e6"),
             ("--scale", "-3"),
             ("--scale", "nan"),
             ("--span", "0"),

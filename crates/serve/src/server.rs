@@ -28,7 +28,7 @@
 use crate::protocol::{Request, Response, StatsBody};
 use sraps_exp::cell::{CellSpec, WorkloadPlan};
 use sraps_exp::{faults, CellCache, CellJob, ClaimSet, Probe, Step, SweepOptions, WorkloadMemo};
-use sraps_obs::{Counter, Phase as ObsPhase};
+use sraps_obs::Phase as ObsPhase;
 use sraps_sched::{BackfillKind, PolicyKind};
 use sraps_types::{signals, Result, SrapsError};
 use std::collections::{HashMap, VecDeque};
@@ -93,7 +93,6 @@ struct Job {
     cell: CellSpec,
     key: String,
     scenario: usize,
-    enqueued: Instant,
     deadline: Instant,
     /// Set on deadline expiry (or drain-side worker skip): queued work
     /// is dropped, a running attempt stops at its next checkpoint.
@@ -116,9 +115,8 @@ impl Job {
     }
 }
 
-/// Always-on operational counters behind the `stats` endpoint. These are
-/// independent of the zero-cost obs gate (which also gets `serve.*`
-/// counters when enabled).
+/// Always-on operational counters behind the `stats` endpoint: the
+/// daemon's one counter set.
 #[derive(Default)]
 struct Stats {
     requests: AtomicU64,
@@ -259,7 +257,6 @@ pub fn serve(cfg: ServeConfig) -> Result<()> {
 /// responses to be written, release claim leases, flush the obs trace.
 fn drain(server: &Arc<Server>, workers: Vec<std::thread::JoinHandle<()>>) -> Result<()> {
     let at_signal = server.in_flight.load(Ordering::SeqCst);
-    sraps_obs::add(Counter::ServeDrained, at_signal as u64);
     server.draining.store(true, Ordering::SeqCst);
     server.queue_cv.notify_all();
     if !server.cfg.quiet {
@@ -311,10 +308,6 @@ fn worker_loop(server: &Arc<Server>) {
             }
         };
         let Some(job) = job else { return };
-        sraps_obs::record(
-            ObsPhase::ServeQueueWait,
-            job.enqueued.elapsed().as_nanos() as u64,
-        );
         if job.expired() {
             // The connection thread answers `timeout` at the deadline;
             // the queued work is simply dropped.
@@ -499,7 +492,6 @@ fn build_cell(server: &Server, req: &Request) -> std::result::Result<(usize, Cel
             power_cap_kw: req.power_cap_kw,
             cap_at,
             scheduler: sraps_core::SchedulerSelect::Default,
-            engine: sraps_core::EngineMode::default(),
             accounts_in: None,
         },
     ))
@@ -519,7 +511,6 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
 
     // Warm path: answered on this thread, straight from the cache.
     if let Some(hit) = server.cache.load(&key, false) {
-        sraps_obs::bump(Counter::ServeRequests);
         server.stats.warm_hits.fetch_add(1, Ordering::Relaxed);
         let mut r = Response::new(id, "ok");
         r.warm = Some(true);
@@ -531,7 +522,6 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
 
     // Admission control for the cold path.
     if faults::accept_fail(seq) {
-        sraps_obs::bump(Counter::ServeRejected);
         server.stats.rejected.fetch_add(1, Ordering::Relaxed);
         return Response::rejected(id, "injected accept failure", Some(25));
     }
@@ -545,12 +535,10 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
     let job = {
         let queue = server.queue.lock().unwrap();
         if server.draining.load(Ordering::SeqCst) {
-            sraps_obs::bump(Counter::ServeRejected);
             server.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return Response::rejected(id, "draining", None);
         }
         if queue.len() >= server.cfg.max_pending {
-            sraps_obs::bump(Counter::ServeRejected);
             server.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return Response::rejected(
                 id,
@@ -562,7 +550,6 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
             let mut clients = server.clients.lock().unwrap();
             let count = clients.entry(client.clone()).or_insert(0);
             if *count >= server.cfg.per_client {
-                sraps_obs::bump(Counter::ServeRejected);
                 server.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 return Response::rejected(
                     id,
@@ -572,7 +559,6 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
             }
             *count += 1;
         }
-        sraps_obs::bump(Counter::ServeRequests);
         server.in_flight.fetch_add(1, Ordering::SeqCst);
         let job = Arc::new(Job {
             seq,
@@ -580,7 +566,6 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
             cell,
             key,
             scenario: scenario_idx,
-            enqueued: Instant::now(),
             deadline: Instant::now() + deadline,
             canceled: AtomicBool::new(false),
             done: Mutex::new(None),
@@ -602,7 +587,6 @@ fn handle_query(server: &Arc<Server>, req: Request, seq: usize, peer: &str) -> R
             let now = Instant::now();
             if now >= job.deadline {
                 job.canceled.store(true, Ordering::Relaxed);
-                sraps_obs::bump(Counter::ServeTimeouts);
                 server.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 let mut r = Response::new(None, "timeout");
                 r.error = Some(format!(

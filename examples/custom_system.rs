@@ -62,9 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. What-if: a healthy run vs a degraded afternoon with two rack
     //    outages, a hot day, and a facility power cap.
-    let healthy = Engine::builder(SimConfig::new(system.clone(), "fcfs", "easy")?.with_cooling())
-        .build(&dataset)?
-        .run()?;
+    let healthy = Engine::new(
+        SimConfig::new(system.clone(), "fcfs", "easy")?.with_cooling(),
+        &dataset,
+    )?
+    .run()?;
 
     let outages = Outage::synthetic_set(99, system.total_nodes, SimTime::seconds(12 * 3600), 2);
     let hot_day = gen_wetbulb_trace(
@@ -74,14 +76,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         9.0,  // +9 °C by mid-afternoon
     );
     let cap_kw = system.peak_it_power_kw() * 0.6;
-    let degraded = Engine::builder(
+    let degraded = Engine::new(
         SimConfig::new(system, "fcfs", "easy")?
             .with_cooling()
             .with_outages(outages)
             .with_weather(hot_day)
             .with_power_cap(cap_kw),
-    )
-    .build(&dataset)?
+        &dataset,
+    )?
     .run()?;
 
     println!("\n{}", summary_line(&healthy));

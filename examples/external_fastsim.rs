@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = SimConfig::new(s.config.clone(), "fcfs", "easy")?
         .with_scheduler(SchedulerSelect::FastSim)
         .with_window(s.sim_start, s.sim_start + sraps_types::SimDuration::days(1));
-    let plugin_out = Engine::builder(sim).build(&s.dataset)?.run()?;
+    let plugin_out = Engine::new(sim, &s.dataset)?.run()?;
     println!("\nplugin mode (1 day window):");
     println!("{}", summary_line(&plugin_out));
 
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let replay = SimConfig::replay(s.config.clone()).with_window(s.sim_start, s.sim_end);
-    let raps_out = Engine::builder(replay).build(&rescheduled)?.run()?;
+    let raps_out = Engine::new(replay, &rescheduled)?.run()?;
     println!("{}", summary_line(&raps_out));
 
     let series: Vec<f64> = raps_out.power.iter().map(|p| p.total_kw).collect();

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = SimConfig::replay(s.config.clone())
         .with_window(s.sim_start, s.sim_end)
         .with_accounts();
-    let collection = Engine::builder(sim).build(&s.dataset)?.run()?;
+    let collection = Engine::new(sim, &s.dataset)?.run()?;
     println!(
         "\ncollection (replay): {} accounts tracked",
         collection.accounts.len()
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_window(s.sim_start, s.sim_end)
             .with_scheduler(SchedulerSelect::Experimental)
             .with_accounts_json(accounts.clone());
-        outputs.push(Engine::builder(sim).build(&s.dataset)?.run()?);
+        outputs.push(Engine::new(sim, &s.dataset)?.run()?);
     }
 
     println!();

@@ -51,8 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let sim = SimConfig::new(s.config.clone(), policy, "firstfit")
                 .expect("valid")
                 .with_window(s.sim_start, s.sim_end);
-            Engine::builder(sim)
-                .build(&s.dataset)
+            Engine::new(sim, &s.dataset)
                 .expect("builds")
                 .run()
                 .expect("runs")

@@ -26,13 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("dataset: {} jobs over {}", dataset.len(), spec.span);
 
     // 3. Replay — the digital twin reproduces the recorded history.
-    let replay = Engine::builder(SimConfig::replay(system.clone()))
-        .build(&dataset)?
-        .run()?;
+    let replay = Engine::new(SimConfig::replay(system.clone()), &dataset)?.run()?;
 
     // 4. Reschedule — same jobs, a policy of your choosing.
     let sim = SimConfig::new(system, "fcfs", "easy")?;
-    let resched = Engine::builder(sim).build(&dataset)?.run()?;
+    let resched = Engine::new(sim, &dataset)?.run()?;
 
     println!("\n{}", summary_line(&replay));
     println!("{}", summary_line(&resched));

@@ -9,7 +9,8 @@
 
 use proptest::prelude::*;
 use sraps_core::{
-    Engine, EngineMode, EngineSnapshot, Outage, SimConfig, SimOutput, ENGINE_SCHEMA_VERSION,
+    Engine, EngineMode, EngineSnapshot, Outage, SimConfig, SimOutput, SimWindow,
+    ENGINE_SCHEMA_VERSION,
 };
 use sraps_data::Dataset;
 use sraps_integration::small_workload;
@@ -89,9 +90,8 @@ fn paused_equals_uninterrupted(
     // the in-memory snapshot (bit-exact f64 round-trips included).
     let json = serde_json::to_string(&snap).expect("serializes");
     let restored: EngineSnapshot = serde_json::from_str(&json).expect("parses");
-    let resumed = Engine::builder(sim)
-        .resume(&restored)
-        .build(ds)
+    let window = SimWindow::new(&sim, ds).expect("window");
+    let resumed = Engine::resume(sim, &window, &restored)
         .expect("restores")
         .run()
         .expect("finishes");
@@ -192,9 +192,8 @@ fn golden_fixture_restores_and_finishes() {
     let snap: EngineSnapshot = serde_json::from_str(&text).expect("parses");
     assert_eq!(snap.schema, ENGINE_SCHEMA_VERSION);
 
-    let resumed = Engine::builder(fixture_sim())
-        .resume(&snap)
-        .build(ds)
+    let window = SimWindow::new(&fixture_sim(), ds).expect("window");
+    let resumed = Engine::resume(fixture_sim(), &window, &snap)
         .expect("restores")
         .run()
         .expect("finishes");
