@@ -36,7 +36,7 @@ use sraps_extsched::{ExternalAdapter, FastSim, ScheduleFlow};
 use sraps_obs::{Counter, Phase as ObsPhase};
 use sraps_power::{node_power_from_telemetry, node_power_w, PowerModel};
 use sraps_sched::{
-    BuiltinScheduler, JobQueue, QueuedJob, ResourceManager, RunningView, SchedContext,
+    BuiltinScheduler, JobQueue, PolicyKind, QueuedJob, ResourceManager, RunningView, SchedContext,
     SchedulerBackend,
 };
 use sraps_types::{
@@ -469,6 +469,16 @@ impl Engine {
             return Err(SrapsError::Config(format!(
                 "engine window {sim_start}..{sim_end} does not match shared window {}..{}",
                 window.sim_start, window.sim_end
+            )));
+        }
+        // The ML policy ranks by `Job::ml_score` and an unscored job as 0,
+        // so over a window nothing annotated every job ties and the run is
+        // FCFS under another name.
+        if sim.policy == PolicyKind::Ml && !window.jobs.iter().any(|j| j.ml_score.is_some()) {
+            return Err(SrapsError::Config(format!(
+                "policy '{}' ranks jobs by ML score, and no job in the window has one \
+                 (annotate the dataset with an ML pipeline first)",
+                sim.policy.name()
             )));
         }
         let scheduler = Self::build_scheduler(&sim, window)?;
@@ -1962,6 +1972,20 @@ mod tests {
         // ranking: account 1 first.
         assert_eq!(first_of_3_and_4(SchedulerSelect::Default), 3);
         assert_eq!(first_of_3_and_4(SchedulerSelect::Experimental), 4);
+    }
+
+    #[test]
+    fn ml_policy_needs_a_scored_job_in_the_window() {
+        let (cfg, mut ds) = small_adastra();
+        let sim = SimConfig::new(cfg, "ml", "firstfit").unwrap();
+        let err = Engine::new(sim.clone(), &ds)
+            .err()
+            .expect("no job is scored");
+        assert!(err.to_string().contains("policy 'ml'"), "{err}");
+        // One scored job is enough: the others rank as 0, as before.
+        ds.jobs[0].ml_score = Some(0.5);
+        let out = Engine::new(sim, &ds).unwrap().run().unwrap();
+        assert!(out.stats.jobs_completed > 0);
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub enum Counter {
     /// `SchedulerStats`).
     SchedPlacementFallbacks,
     /// Conservative-backfill anchor searches over the free-capacity
-    /// profile (one per queued job the planner searches).
+    /// profile (one per queued job the planner searches before it stops).
     SchedAnchorSweeps,
     /// EASY shadow-time reservations computed against the timeline.
     SchedEasyReservations,
@@ -283,7 +283,9 @@ impl Counter {
             Counter::SchedRecomputations => "queue-order recomputations",
             Counter::SchedBackfilled => "jobs placed out of order by backfill",
             Counter::SchedPlacementFallbacks => "replay placements that fell back to first-fit",
-            Counter::SchedAnchorSweeps => "queued jobs the conservative planner searched",
+            Counter::SchedAnchorSweeps => {
+                "queued jobs the conservative planner searched before it stopped"
+            }
             Counter::SchedEasyReservations => "EASY shadow-time reservations computed",
             Counter::SchedCapDeferrals => "power-cap proposals deferred",
             Counter::QueueResorts => "full queue re-sorts (order stamp changed)",

@@ -145,6 +145,41 @@ pub fn next_planned_start(plan: &[SimTime], now: SimTime) -> Option<SimTime> {
         .min()
 }
 
+/// Whether `prefix` is a decided prefix of `full`, a whole conservative
+/// plan of the same queue at `now` — the contract of
+/// [`CapacityTimeline::plan_conservative`](crate::timeline::CapacityTimeline::plan_conservative),
+/// checked against [`conservative_plan`] by the tests. The prefix equals
+/// `full` entry for entry, and each later entry of `full` is
+/// `SimTime::MAX`, or after `now` and no earlier than the prefix's
+/// [`next_planned_start`]. The jobs due by `now` and the next decision
+/// time read off the prefix are then the full plan's. `Err` names the
+/// first entry that breaks it.
+pub fn check_decided_prefix(
+    prefix: &[SimTime],
+    full: &[SimTime],
+    now: SimTime,
+) -> Result<(), String> {
+    if let Some(k) = (0..prefix.len()).find(|&k| full.get(k) != Some(&prefix[k])) {
+        return Err(format!(
+            "entry {k} of the prefix is {:?}, of the full plan {:?}",
+            prefix[k],
+            full.get(k)
+        ));
+    }
+    let next = next_planned_start(prefix, now).unwrap_or(SimTime::MAX);
+    match (prefix.len()..full.len())
+        .find(|&k| full[k] != SimTime::MAX && (full[k] <= now || full[k] < next))
+    {
+        Some(k) => Err(format!(
+            "entry {k} past the prefix of {} starts at {:?}: by now ({now:?}) or before \
+             the prefix's next start ({next:?})",
+            prefix.len(),
+            full[k]
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The head job's reservation: when it can start at the latest-known
 /// estimates, and how many nodes remain unused at that moment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

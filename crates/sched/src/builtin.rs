@@ -204,8 +204,11 @@ impl BuiltinScheduler {
         }
     }
 
-    /// Conservative backfill: plan a reservation for *every* queued job in
-    /// policy order, then start exactly those whose reserved time has come.
+    /// Conservative backfill: plan reservations in policy order, then
+    /// start exactly those whose reserved time has come. The planner stops
+    /// once the rest of the queue can neither start now nor start before
+    /// the earliest future reservation, so the decided prefix it leaves
+    /// ([`PlanScratch::plan`]) answers both the placements and the hint.
     fn schedule_conservative(
         &mut self,
         now: SimTime,

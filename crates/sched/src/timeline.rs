@@ -27,11 +27,15 @@
 //! profile within a call, so a `(nodes, estimate)` class's earliest
 //! feasible start never moves earlier than its previous job's.
 //!
-//! Queries are *bit-identical* to their from-scratch counterparts
-//! ([`backfill::easy_reservation`](crate::backfill::easy_reservation) and
-//! [`backfill::conservative_plan`](crate::backfill::conservative_plan));
-//! the property tests in `tests/incremental.rs` pin that equivalence on
-//! random running/queue states.
+//! Queries are *bit-identical* to their from-scratch counterparts: the
+//! EASY reservation to
+//! [`backfill::easy_reservation`](crate::backfill::easy_reservation), and
+//! the conservative plan, entry for entry as far as it plans, to
+//! [`backfill::conservative_plan`](crate::backfill::conservative_plan)
+//! (it stops once the rest of the queue cannot change the call; see
+//! [`backfill::check_decided_prefix`](crate::backfill::check_decided_prefix)).
+//! The property tests in `tests/incremental.rs` pin both on random
+//! running/queue states.
 
 use crate::backfill::Reservation;
 use crate::queue::QueuedJob;
@@ -163,7 +167,10 @@ impl CapacityTimeline {
     /// per queued job, in queue order, holding earlier jobs' reservations
     /// fixed — exactly
     /// [`backfill::conservative_plan`](crate::backfill::conservative_plan)
-    /// (`SimTime::MAX` for jobs wider than the machine can ever free).
+    /// (`SimTime::MAX` for jobs wider than the machine can ever free) for
+    /// every job it plans. It plans a prefix of the queue: only the jobs
+    /// due by `now` and the earliest future start matter to a call, and it
+    /// stops once the rest of the queue cannot change either.
     ///
     /// The free capacity is an explicit step profile: distinct breakpoint
     /// times (every estimated end, plus `now`) with the free nodes holding
@@ -173,6 +180,19 @@ impl CapacityTimeline {
     /// reaches the end of its window — accept, or restart past the dip.
     /// A reservation lowers the profile over its window and adds only its
     /// end breakpoint, since every anchor already is one.
+    ///
+    /// Before each job the same search runs for a phantom job as narrow as
+    /// the narrowest and as short as the shortest job left to plan. The
+    /// phantom fits wherever one of them fits, and the profile only falls
+    /// within a call, so none of them can start before the phantom's
+    /// earliest anchor. Once that anchor is at or past the earliest future
+    /// start planned so far, or there is none, no job left starts by `now`
+    /// or earlier than that start: planning stops, and the placements and
+    /// next decision time read off the prefix equal a full plan's. The
+    /// phantom only grows and the profile only falls, so its anchor only
+    /// moves later within a call: its search resumes from the last anchor,
+    /// and runs again only when the phantom grows or a reservation lowers
+    /// its window.
     ///
     /// The profile lives in `scratch` (read the result via
     /// [`PlanScratch::plan`]), so steady-state calls allocate nothing.
@@ -188,6 +208,7 @@ impl CapacityTimeline {
             times,
             free,
             floors,
+            rest,
             plan,
         } = scratch;
         // All estimates maturing at an instant release together, and
@@ -206,10 +227,44 @@ impl CapacityTimeline {
                 free.push(f);
             }
         }
+        // The phantom per queue position, last position first: the
+        // narrowest width and the shortest estimate from there on, over the
+        // jobs that fit the machine (the others plan to `SimTime::MAX`
+        // whatever the profile).
+        rest.clear();
+        let mut phantom = (u32::MAX, SimDuration(i64::MAX));
+        rest.extend(queue.iter().rev().map(|job| {
+            if job.nodes <= total_nodes {
+                phantom = (phantom.0.min(job.nodes), phantom.1.min(job.estimate));
+            }
+            phantom
+        }));
         floors.clear();
         plan.clear();
+        // The earliest future start planned so far; the phantom last
+        // searched for, and its earliest anchor then. A reservation can
+        // move that anchor only if it lowers the phantom's window.
+        let mut next = SimTime::MAX;
+        let mut searched = None;
+        let mut bound = times[0];
         let mut sweeps = 0u64;
-        for job in queue {
+        for (job, &phantom) in queue.iter().zip(rest.iter().rev()) {
+            let (nodes, estimate) = phantom;
+            if nodes > total_nodes {
+                break;
+            }
+            if searched != Some(phantom) {
+                let from = times.partition_point(|&t| t < bound);
+                let Some((i, _)) = earliest_anchor(times, free, from, nodes as i64, estimate)
+                else {
+                    break;
+                };
+                bound = times[i];
+                searched = Some(phantom);
+            }
+            if bound >= next {
+                break;
+            }
             if job.nodes > total_nodes {
                 plan.push(SimTime::MAX);
                 continue;
@@ -217,45 +272,70 @@ impl CapacityTimeline {
             sweeps += 1;
             let need = job.nodes as i64;
             let floor = floors.entry((job.nodes, job.estimate)).or_insert(times[0]);
-            let mut i = times.partition_point(|&t| t < *floor);
-            let start = loop {
-                let Some(k) = free[i..].iter().position(|&f| f >= need) else {
-                    break SimTime::MAX;
-                };
-                i += k;
-                let end = times[i] + job.estimate;
-                let j = times[i + 1..]
-                    .iter()
-                    .zip(&free[i + 1..])
-                    .position(|(&t, &f)| t >= end || f < need)
-                    .map_or(times.len(), |k| i + 1 + k);
-                if j < times.len() && times[j] < end {
-                    // Every anchor before the dip has it inside its window.
-                    i = j + 1;
-                    continue;
-                }
-                // Past the last breakpoint the profile is flat forever, so
-                // `j == len` covers the window whatever the estimate.
-                if end > times[i] {
-                    free[i..j].iter_mut().for_each(|f| *f -= need);
-                    if times.get(j) != Some(&end) {
-                        times.insert(j, end);
-                        free.insert(j, free[j - 1] + need);
+            let from = times.partition_point(|&t| t < *floor);
+            let start = match earliest_anchor(times, free, from, need, job.estimate) {
+                None => SimTime::MAX,
+                Some((i, j)) => {
+                    let end = times[i] + job.estimate;
+                    // Past the last breakpoint the profile is flat forever,
+                    // so `j == len` covers the window whatever the estimate.
+                    if end > times[i] {
+                        free[i..j].iter_mut().for_each(|f| *f -= need);
+                        if times.get(j) != Some(&end) {
+                            times.insert(j, end);
+                            free.insert(j, free[j - 1] + need);
+                        }
+                        // Every start is at or past `bound`; one past the
+                        // phantom's window leaves its anchor where it is.
+                        if times[i] == bound || times[i] < bound + estimate {
+                            searched = None;
+                        }
                     }
+                    times[i]
                 }
-                break times[i];
             };
             *floor = start;
+            if start > now {
+                next = next.min(start);
+            }
             plan.push(start);
         }
         sraps_obs::add(sraps_obs::Counter::SchedAnchorSweeps, sweeps);
     }
 }
 
+/// The earliest breakpoint at or after index `i` where `need` nodes stay
+/// free for `estimate`, as `(anchor, window end)`: the window end is the
+/// first later breakpoint at or past the anchor plus `estimate`, or
+/// `times.len()`. `None` when no breakpoint from `i` on has room.
+fn earliest_anchor(
+    times: &[SimTime],
+    free: &[i64],
+    mut i: usize,
+    need: i64,
+    estimate: SimDuration,
+) -> Option<(usize, usize)> {
+    loop {
+        i += free[i..].iter().position(|&f| f >= need)?;
+        let end = times[i] + estimate;
+        let j = times[i + 1..]
+            .iter()
+            .zip(&free[i + 1..])
+            .position(|(&t, &f)| t >= end || f < need)
+            .map_or(times.len(), |k| i + 1 + k);
+        if j < times.len() && times[j] < end {
+            // Every anchor before the dip has it inside its window.
+            i = j + 1;
+            continue;
+        }
+        return Some((i, j));
+    }
+}
+
 /// Reusable buffers for [`CapacityTimeline::plan_conservative`]: the
-/// per-call capacity profile, class floors and resulting plan, retained
-/// across scheduler invocations so the conservative hot path stops
-/// allocating.
+/// per-call capacity profile, class floors, phantom widths and estimates,
+/// and resulting plan, retained across scheduler invocations so the
+/// conservative hot path stops allocating.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Distinct breakpoint times, ascending.
@@ -269,7 +349,13 @@ pub struct PlanScratch {
     /// the class's earliest feasible anchor never moves earlier, and its
     /// next job's search starts here. `SimTime::MAX` once it never fits.
     floors: HashMap<(u32, SimDuration), SimTime>,
-    /// One planned start per queue entry, in queue order.
+    /// Per queue position, last position first, the narrowest width and
+    /// the shortest estimate from there to the end of the queue among the
+    /// jobs that fit the machine (`u32::MAX` wide when none does): the
+    /// phantom job whose earliest anchor bounds every start left to plan.
+    rest: Vec<(u32, SimDuration)>,
+    /// One planned start per queue entry of the decided prefix, in queue
+    /// order.
     plan: Vec<SimTime>,
 }
 
@@ -278,7 +364,14 @@ impl PlanScratch {
         PlanScratch::default()
     }
 
-    /// The plan produced by the last `plan_conservative` call.
+    /// The decided prefix of the last `plan_conservative` call: one
+    /// planned start per queue entry up to where planning stopped, each
+    /// equal to [`backfill::conservative_plan`](crate::backfill::conservative_plan)'s
+    /// entry. Every job past it would plan to `SimTime::MAX`, or after
+    /// `now` and no earlier than the prefix's
+    /// [`next_planned_start`](crate::backfill::next_planned_start); so
+    /// the jobs due by `now` and the next decision time read off the
+    /// prefix are a full plan's.
     pub fn plan(&self) -> &[SimTime] {
         &self.plan
     }
@@ -364,10 +457,42 @@ mod tests {
         let mut scratch = PlanScratch::new();
         let now = SimTime::seconds(10);
         t.plan_conservative(&queue, now, 2, 16, &mut scratch);
+        let full = backfill::conservative_plan(&queue, now, 2, 16, &running);
         assert_eq!(
-            scratch.plan(),
-            backfill::conservative_plan(&queue, now, 2, 16, &running).as_slice()
+            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            Ok(())
         );
+        // After the third job the next start is t=60, and the one job left
+        // that fits the machine needs all 16 nodes, free from t=250 on.
+        assert_eq!(
+            scratch.plan().len(),
+            3,
+            "planning stops before the wide jobs"
+        );
+    }
+
+    #[test]
+    fn planning_stops_once_reservations_fill_the_gap() {
+        // Two of four nodes run until t=100, and the wide head job takes
+        // the whole machine from then. The two nodes free before t=100 fit
+        // two 50 s jobs. After those, no job left, not even the 10 s one
+        // at the tail, can start before t=50, the earliest future start:
+        // planning stops there, though the tail job was the phantom's
+        // estimate all along.
+        let running = [view(1, 2, 100)];
+        let t = timeline_of(&running);
+        let mut queue = vec![qj(4, 100)];
+        queue.extend((0..6).map(|_| qj(2, 50)));
+        queue.push(qj(2, 10));
+        let mut scratch = PlanScratch::new();
+        let now = SimTime::ZERO;
+        t.plan_conservative(&queue, now, 2, 4, &mut scratch);
+        let full = backfill::conservative_plan(&queue, now, 2, 4, &running);
+        assert_eq!(
+            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            Ok(())
+        );
+        assert_eq!(scratch.plan(), [100, 0, 50].map(SimTime::seconds));
     }
 
     #[test]
@@ -382,9 +507,10 @@ mod tests {
         let mut scratch = PlanScratch::new();
         let now = SimTime::seconds(10);
         t.plan_conservative(&queue, now, 11, 16, &mut scratch);
+        let full = backfill::conservative_plan(&queue, now, 11, 16, &running);
         assert_eq!(
-            scratch.plan(),
-            backfill::conservative_plan(&queue, now, 11, 16, &running).as_slice()
+            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            Ok(())
         );
         assert_eq!(scratch.plan()[0], now, "headroom jobs start immediately");
     }
@@ -399,9 +525,10 @@ mod tests {
         let mut scratch = PlanScratch::new();
         let now = SimTime::seconds(100);
         t.plan_conservative(&queue, now, 0, 8, &mut scratch);
+        let full = backfill::conservative_plan(&queue, now, 0, 8, &running);
         assert_eq!(
-            scratch.plan(),
-            backfill::conservative_plan(&queue, now, 0, 8, &running).as_slice()
+            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            Ok(())
         );
         assert_eq!(scratch.plan()[0], SimTime::seconds(50), "phantom release");
     }
@@ -419,9 +546,10 @@ mod tests {
         let mut scratch = PlanScratch::new();
         let now = SimTime::seconds(10);
         t.plan_conservative(&queue, now, 6, 16, &mut scratch);
+        let full = backfill::conservative_plan(&queue, now, 6, 16, &running);
         assert_eq!(
-            scratch.plan(),
-            backfill::conservative_plan(&queue, now, 6, 16, &running).as_slice()
+            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            Ok(())
         );
         assert_eq!(scratch.plan()[1], SimTime::seconds(200));
         assert_eq!(scratch.plan()[3], now, "no phantom dip at t=200");

@@ -3,15 +3,19 @@
 //! * the incrementally-sorted [`JobQueue`] equals a from-scratch
 //!   [`JobQueue::sort_by_key_stable`] under arbitrary push / remove /
 //!   re-key sequences;
-//! * the timeline-backed EASY reservation and conservative plan equal
-//!   the from-scratch planners in [`sraps_sched::backfill`] on random
-//!   running/queue states.
+//! * the timeline-backed EASY reservation equals the from-scratch one in
+//!   [`sraps_sched::backfill`] on random running sets;
+//! * the timeline-backed conservative plan is a decided prefix of the
+//!   from-scratch plan on random running/queue states
+//!   ([`check_decided_prefix`]): equal entry for entry as far as it goes,
+//!   and every later job would start never, or after `now` and no
+//!   earlier than the prefix's next start.
 //!
 //! These are the oracles that let the engine swap the per-call rebuilds
 //! for incremental state without risking the bit-parity claim.
 
 use proptest::prelude::*;
-use sraps_sched::backfill::{conservative_plan, easy_reservation};
+use sraps_sched::backfill::{check_decided_prefix, conservative_plan, easy_reservation};
 use sraps_sched::{
     CapacityTimeline, JobQueue, OrderStamp, PlanScratch, PolicyKind, QueuedJob, RunningView,
 };
@@ -116,9 +120,9 @@ proptest! {
         );
     }
 
-    /// Timeline conservative plan == from-scratch conservative plan on
-    /// random running/queue states — after random add/remove churn on the
-    /// timeline, not just a fresh build.
+    /// Timeline conservative plan is a decided prefix of the from-scratch
+    /// plan on random running/queue states — after random add/remove
+    /// churn on the timeline, not just a fresh build.
     #[test]
     fn timeline_conservative_plan_equals_from_scratch(
         running in prop::collection::vec((1u32..48, -100i64..2_000), 0..16),
@@ -161,10 +165,11 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        prop_assert_eq!(scratch.plan(), reference.as_slice());
+        let first = scratch.plan().to_vec();
+        prop_assert_eq!(check_decided_prefix(&first, &reference, now), Ok(()));
         // Scratch reuse across calls must not leak state between plans.
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
-        prop_assert_eq!(scratch.plan(), reference.as_slice());
+        prop_assert_eq!(scratch.plan(), first.as_slice());
     }
 
     /// High-headroom regime: generous free capacity and mostly-narrow
@@ -209,7 +214,7 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        prop_assert_eq!(scratch.plan(), reference.as_slice());
+        prop_assert_eq!(check_decided_prefix(scratch.plan(), &reference, now), Ok(()));
     }
 
     /// Class-floor coverage: a saturated machine (little free, many
@@ -252,6 +257,49 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        prop_assert_eq!(scratch.plan(), reference.as_slice());
+        prop_assert_eq!(check_decided_prefix(scratch.plan(), &reference, now), Ok(()));
+    }
+
+    /// Deep saturated queues: a hundred to three hundred jobs drawn from
+    /// up to 24 `(nodes, estimate)` classes, zero estimates and jobs wider
+    /// than the machine included, behind a machine with little free.
+    /// Planning stops deep in such queues, after many reservations have
+    /// lowered the profile; the generators above queue at most 41 jobs.
+    #[test]
+    fn timeline_conservative_deep_queue_is_a_decided_prefix(
+        classes in prop::collection::vec((1u32..160, 0i64..3_000), 4..25),
+        picks in prop::collection::vec((0usize..24, 0i64..50), 100..301),
+        running in prop::collection::vec((1u32..12, -100i64..4_000), 16..41),
+        now in 0i64..200,
+        free in 0u32..8,
+    ) {
+        let views: Vec<RunningView> = running
+            .iter()
+            .enumerate()
+            .map(|(i, &(n, end))| RunningView {
+                id: JobId(i as u64),
+                nodes: n,
+                estimated_end: SimTime::seconds(end),
+                power_kw: 0.0,
+            })
+            .collect();
+        let mut timeline = CapacityTimeline::new();
+        for v in &views {
+            timeline.add(v.estimated_end, v.nodes);
+        }
+        let jobs: Vec<QueuedJob> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(pick, submit))| {
+                let (nodes, est) = classes[pick % classes.len()];
+                qj(i as u64, submit, nodes, est, 0.0)
+            })
+            .collect();
+        let now = SimTime::seconds(now);
+        let total = free + views.iter().map(|v| v.nodes).sum::<u32>();
+        let mut scratch = PlanScratch::new();
+        timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
+        let reference = conservative_plan(&jobs, now, free, total, &views);
+        prop_assert_eq!(check_decided_prefix(scratch.plan(), &reference, now), Ok(()));
     }
 }

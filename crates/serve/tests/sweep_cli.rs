@@ -453,6 +453,38 @@ fn sweep_help_and_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("matches no cell"));
 }
 
+/// No CLI path scores jobs, and the ML policy over unscored jobs is FCFS
+/// under another name: a single run and a sweep cell both refuse it and
+/// name the policy.
+#[test]
+fn ml_policy_on_unscored_jobs_fails_naming_the_policy() {
+    let dir = std::env::temp_dir().join(format!("sraps-ml-unscored-{}", std::process::id()));
+    let runs: [&[&str]; 2] = [
+        &["--system", "lassen", "--policy", "ml", "--span", "1h", "-o"],
+        &[
+            "sweep",
+            "--system",
+            "lassen",
+            "--span",
+            "1h",
+            "--policies",
+            "ml,fcfs",
+            "--backfills",
+            "easy",
+            "-q",
+            "-o",
+        ],
+    ];
+    for args in runs {
+        let out = sraps().args(args).arg(&dir).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        // A sweep names a failed cell's error in its failed-cells table.
+        let text = String::from_utf8_lossy(&out.stderr) + String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("policy 'ml'"), "{args:?}: {text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn classic_single_run_interface_still_works() {
     let dir = std::env::temp_dir().join(format!("sraps-classic-{}", std::process::id()));
