@@ -50,7 +50,7 @@ fn ablate_prepopulation() {
     // Without: drop every job already started before the window (what a
     // cold-started simulator sees).
     let mut cold = ds.clone();
-    cold.jobs.retain(|j| j.recorded_start >= start);
+    cold.edit_jobs(|jobs| jobs.retain(|j| j.recorded_start >= start));
     let without = Engine::new(SimConfig::replay(cfg).with_window(start, end), &cold)
         .unwrap()
         .run()
@@ -86,9 +86,11 @@ fn ablate_exact_placement() {
         .unwrap();
     // Free placement: strip the recorded node sets.
     let mut stripped = ds.clone();
-    for j in &mut stripped.jobs {
-        j.recorded_nodes = None;
-    }
+    stripped.edit_jobs(|jobs| {
+        for j in jobs {
+            j.recorded_nodes = None;
+        }
+    });
     let free = Engine::new(SimConfig::replay(cfg), &stripped)
         .unwrap()
         .run()
@@ -173,18 +175,20 @@ fn ablate_missing_telemetry() {
     // Truncate every power trace to its first half (simulating telemetry
     // that stops at the capture boundary).
     let mut zero_ds = ds.clone();
-    for (jobs, zero) in [(&mut ds.jobs, false), (&mut zero_ds.jobs, true)] {
-        for j in jobs.iter_mut() {
-            if let Some(t) = &mut j.telemetry.node_power_w {
-                let half = (t.len() / 2).max(1);
-                let mut values: Vec<f32> = t.values[..half].to_vec();
-                if zero {
-                    // Zero-fill variant: pad explicitly with zeros.
-                    values.resize(t.len(), 0.0);
+    for (ds, zero) in [(&mut ds, false), (&mut zero_ds, true)] {
+        ds.edit_jobs(|jobs| {
+            for j in jobs {
+                if let Some(t) = &mut j.telemetry.node_power_w {
+                    let half = (t.len() / 2).max(1);
+                    let mut values: Vec<f32> = t.values[..half].to_vec();
+                    if zero {
+                        // Zero-fill variant: pad explicitly with zeros.
+                        values.resize(t.len(), 0.0);
+                    }
+                    *t = Trace::new(t.t0, t.dt, values);
                 }
-                *t = Trace::new(t.t0, t.dt, values);
             }
-        }
+        });
     }
     let run = |ds: &sraps_data::Dataset| {
         Engine::new(SimConfig::replay(cfg.clone()), ds)
@@ -261,14 +265,14 @@ fn ablate_walltime_correction() {
     // Train on the day before the window, correct the whole dataset.
     let history: Vec<sraps_types::Job> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.recorded_end <= s.sim_start)
         .cloned()
         .collect();
     let model = WalltimeModel::fit(&history, 1.3).expect("enough history");
     let mut corrected_ds = s.dataset.clone();
-    let tightened = model.apply(&mut corrected_ds.jobs);
+    let tightened = corrected_ds.edit_jobs(|jobs| model.apply(jobs));
     let corrected = run(&corrected_ds);
     // Prediction quality vs the raw user over-request.
     let mae = model.mae_secs(&history);

@@ -28,7 +28,7 @@ fn main() {
     let split = SimTime::seconds(2 * 86_400);
     let history: Vec<sraps_types::Job> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.recorded_end <= split)
         .cloned()
@@ -42,7 +42,7 @@ fn main() {
         pipeline.n_clusters(),
         pipeline.classifier_accuracy(&history) * 100.0
     );
-    pipeline.annotate(&mut s.dataset.jobs);
+    s.dataset.edit_jobs(|jobs| pipeline.annotate(jobs));
 
     let policies = ["sjf", "fcfs", "ljf", "priority", "ml"];
     let pairs: Vec<(&str, &str)> = policies.iter().map(|&p| (p, "firstfit")).collect();

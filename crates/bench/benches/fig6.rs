@@ -30,7 +30,7 @@ fn main() {
         s.dataset.len(),
         s.config.total_nodes,
         s.dataset
-            .jobs
+            .jobs()
             .iter()
             .map(|j| j.nodes_requested)
             .max()
@@ -69,7 +69,7 @@ fn main() {
 
     let giant = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .map(|j| j.nodes_requested)
         .max()

@@ -26,7 +26,7 @@ fn main() {
     // Stage 1: FastSim schedules the full trace (sequential mode).
     let ext_jobs: Vec<ExtJob> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .map(|j| ExtJob {
             job: QueuedJob {
@@ -59,14 +59,16 @@ fn main() {
     let mut rescheduled = s.dataset.clone();
     let by_id: std::collections::HashMap<_, SimTime> =
         starts.iter().map(|st| (st.job, st.start)).collect();
-    for j in &mut rescheduled.jobs {
-        if let Some(&start) = by_id.get(&j.id) {
-            let dur = j.duration();
-            j.recorded_start = start;
-            j.recorded_end = start + dur;
-            j.recorded_nodes = None;
+    rescheduled.edit_jobs(|jobs| {
+        for j in jobs {
+            if let Some(&start) = by_id.get(&j.id) {
+                let dur = j.duration();
+                j.recorded_start = start;
+                j.recorded_end = start + dur;
+                j.recorded_nodes = None;
+            }
         }
-    }
+    });
 
     // Stage 3: RAPS replays the FastSim schedule.
     let sim = SimConfig::replay(s.config.clone()).with_window(s.sim_start, s.sim_end);

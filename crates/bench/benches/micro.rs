@@ -167,12 +167,12 @@ fn bench_ml(c: &mut Criterion) {
     let mut g = c.benchmark_group("ml");
     g.sample_size(10);
     g.bench_function(format!("train_{}_jobs", ds.len()), |b| {
-        b.iter(|| MlPipeline::train(&ds.jobs, config.clone()).unwrap())
+        b.iter(|| MlPipeline::train(ds.jobs(), config.clone()).unwrap())
     });
-    let pipeline = MlPipeline::train(&ds.jobs, config).unwrap();
+    let pipeline = MlPipeline::train(ds.jobs(), config).unwrap();
     g.bench_function("infer_1000_jobs", |b| {
         b.iter(|| {
-            ds.jobs
+            ds.jobs()
                 .iter()
                 .take(1000)
                 .map(|j| pipeline.infer(j).score)

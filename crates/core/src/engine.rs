@@ -1513,7 +1513,7 @@ mod tests {
         let out = Engine::new(sim, &ds).unwrap().run().unwrap();
         let tick = cfg.tick.as_secs();
         for o in &out.outcomes {
-            let recorded = ds.jobs.iter().find(|j| j.id == o.id).unwrap();
+            let recorded = ds.jobs().iter().find(|j| j.id == o.id).unwrap();
             let delta = (o.start - recorded.recorded_start).as_secs().abs();
             assert!(
                 delta <= tick,
@@ -1619,7 +1619,7 @@ mod tests {
         );
         // Censored jobs never produce outcomes.
         let in_window = ds
-            .jobs
+            .jobs()
             .iter()
             .filter(|j| j.recorded_start < end && j.recorded_end > ds.capture_start)
             .count() as u64;
@@ -1983,7 +1983,7 @@ mod tests {
             .expect("no job is scored");
         assert!(err.to_string().contains("policy 'ml'"), "{err}");
         // One scored job is enough: the others rank as 0, as before.
-        ds.jobs[0].ml_score = Some(0.5);
+        ds.edit_jobs(|jobs| jobs[0].ml_score = Some(0.5));
         let out = Engine::new(sim, &ds).unwrap().run().unwrap();
         assert!(out.stats.jobs_completed > 0);
     }

@@ -19,15 +19,23 @@
 //!    fingerprint; bump it whenever an engine, model, or dataloader
 //!    change alters simulation output so every stale cache entry misses.
 //!
-//! [`Fingerprinter`] also implements [`std::fmt::Write`], so any
-//! `Debug`-printable structure can be folded in without materializing the
-//! (potentially huge) debug string: `write!(fp, "{:?}", dataset)` streams
-//! the formatter's output straight through the hasher. Derived `Debug`
-//! output is deterministic (floats print in shortest-roundtrip form, and
-//! the workspace's types hold `Vec`s/`BTreeMap`s, never iteration-order-
+//! Jobs, the bulk of a windowed replay's key, go in field by field
+//! ([`Fingerprinter::write_job`]): a fixed binary encoding with floats
+//! by their bits, a length before every variable-length part and a
+//! presence byte before every `Option`. It destructures each type
+//! exhaustively, so a field added to a job fails to compile until it is
+//! keyed.
+//!
+//! Debug text keys the rest, system configs and account tables:
+//! [`Fingerprinter`] implements [`std::fmt::Write`], so
+//! [`Fingerprinter::write_debug`] streams the formatter's output straight
+//! through the hasher without building the string. Derived `Debug` output
+//! is deterministic (floats print in shortest-roundtrip form, and the
+//! workspace's types hold `Vec`s/`BTreeMap`s, never iteration-order-
 //! randomized maps), which makes it a serviceable canonical serialization
 //! whose drift the golden-key fixtures catch.
 
+use sraps_types::{CaptureFlags, Job, JobTelemetry, Trace};
 use std::fmt;
 
 /// Cache-invalidation salt: bump on any change that alters simulation
@@ -133,6 +141,89 @@ impl Fingerprinter {
                 self.write_f64(x);
             }
             None => self.write_u8(0),
+        }
+    }
+
+    /// Every field of `job`, in declaration order, in a fixed binary
+    /// encoding (210 bytes for a lassen job). The destructuring patterns
+    /// list every field with no `..`, so a new field of [`Job`],
+    /// [`JobTelemetry`], [`Trace`] or [`CaptureFlags`] fails to compile
+    /// here until it is keyed.
+    pub fn write_job(&mut self, job: &Job) {
+        let Job {
+            id,
+            user,
+            account,
+            submit,
+            recorded_start,
+            recorded_end,
+            walltime_limit,
+            nodes_requested,
+            recorded_nodes,
+            priority,
+            telemetry,
+            ml_score,
+        } = job;
+        self.write_u64(id.0);
+        self.write_u32(user.0);
+        self.write_u32(account.0);
+        self.write_i64(submit.as_secs());
+        self.write_i64(recorded_start.as_secs());
+        self.write_i64(recorded_end.as_secs());
+        self.write_i64(walltime_limit.as_secs());
+        self.write_u32(*nodes_requested);
+        match recorded_nodes {
+            Some(nodes) => {
+                self.write_u8(1);
+                self.write_u64(nodes.len() as u64);
+                for &n in nodes.as_slice() {
+                    self.write_u32(n);
+                }
+            }
+            None => self.write_u8(0),
+        }
+        self.write_f64(*priority);
+        let JobTelemetry {
+            cpu_util,
+            gpu_util,
+            mem_util,
+            node_power_w,
+            net_tx_mbs,
+            net_rx_mbs,
+            flags,
+        } = telemetry;
+        for trace in [
+            cpu_util,
+            gpu_util,
+            mem_util,
+            node_power_w,
+            net_tx_mbs,
+            net_rx_mbs,
+        ] {
+            self.write_opt_trace(trace.as_ref());
+        }
+        let CaptureFlags {
+            started_before_capture,
+            ended_after_capture,
+        } = flags;
+        self.write_bool(*started_before_capture);
+        self.write_bool(*ended_after_capture);
+        self.write_opt_f64(*ml_score);
+    }
+
+    /// Presence byte, then the trace's offset, interval, sample count and
+    /// samples by their bits.
+    fn write_opt_trace(&mut self, trace: Option<&Trace>) {
+        let Some(Trace { t0, dt, values }) = trace else {
+            self.write_u8(0);
+            return;
+        };
+        self.write_u8(1);
+        self.write_i64(t0.as_secs());
+        self.write_i64(dt.as_secs());
+        self.write_u64(values.len() as u64);
+        for v in values {
+            self.write_u32(v.to_bits());
         }
     }
 

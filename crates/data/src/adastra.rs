@@ -158,7 +158,7 @@ mod tests {
         let gpu_w = derive_gpu_power_w(&cfg, gpu_rec);
         assert!(gpu_w > 0.0, "GPU jobs must show derived GPU power");
         let ds = load(&cfg, &recs);
-        let j = ds.jobs.iter().find(|j| j.id.0 == gpu_rec.job_id).unwrap();
+        let j = ds.jobs().iter().find(|j| j.id.0 == gpu_rec.job_id).unwrap();
         assert!(j.telemetry.gpu_util.is_some());
     }
 

@@ -9,7 +9,13 @@ use sraps_types::{telemetry::capture_flags, Job, SimTime};
 pub struct Dataset {
     /// System the dataset belongs to (`--system` value).
     pub system: String,
-    pub jobs: Vec<Job>,
+    /// In (submit, id) order. Read through [`Dataset::jobs`]; change
+    /// through [`Dataset::edit_jobs`], which restores the order.
+    jobs: Vec<Job>,
+    /// `latest_end[i]` is the latest `recorded_end` of `jobs[..=i]`. It
+    /// never decreases, so [`Dataset::jobs_in_window`] binary-searches it
+    /// for the first job that can still run at a window's start.
+    latest_end: Vec<SimTime>,
     /// First instant covered by telemetry.
     pub capture_start: SimTime,
     /// Last instant covered by telemetry.
@@ -19,28 +25,52 @@ pub struct Dataset {
 impl Dataset {
     /// Assemble a dataset, deriving the capture window from the jobs when
     /// not supplied, and stamping each job's capture flags.
-    pub fn new(system: &str, mut jobs: Vec<Job>) -> Self {
-        jobs.sort_by_key(|j| (j.submit, j.id));
-        let capture_start = jobs
+    pub fn new(system: &str, jobs: Vec<Job>) -> Self {
+        let mut ds = Dataset {
+            system: system.to_string(),
+            jobs,
+            ..Dataset::default()
+        };
+        ds.reindex();
+        ds.capture_start = ds
+            .jobs
             .iter()
             .map(|j| j.submit.min(j.recorded_start))
             .min()
             .unwrap_or(SimTime::ZERO);
-        let capture_end = jobs
-            .iter()
-            .map(|j| j.recorded_end)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        for j in &mut jobs {
-            j.telemetry.flags =
-                capture_flags(j.recorded_start, j.recorded_end, capture_start, capture_end);
+        ds.capture_end = ds.latest_end.last().copied().unwrap_or(SimTime::ZERO);
+        let (start, end) = (ds.capture_start, ds.capture_end);
+        for j in &mut ds.jobs {
+            j.telemetry.flags = capture_flags(j.recorded_start, j.recorded_end, start, end);
         }
-        Dataset {
-            system: system.to_string(),
-            jobs,
-            capture_start,
-            capture_end,
-        }
+        ds
+    }
+
+    /// The jobs, in (submit, id) order.
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs
+    }
+
+    /// Change the jobs through `f` (edit, add, drop, reorder), then restore
+    /// the (submit, id) order and the index [`Dataset::jobs_in_window`]
+    /// searches. Returns what `f` returns. The capture bounds and each
+    /// job's capture flags stay as [`Dataset::new`] set them.
+    pub fn edit_jobs<R>(&mut self, f: impl FnOnce(&mut Vec<Job>) -> R) -> R {
+        let out = f(&mut self.jobs);
+        self.reindex();
+        out
+    }
+
+    /// Sort the jobs (stable, so ties keep their order) and rebuild the
+    /// running maximum of `recorded_end`.
+    fn reindex(&mut self) {
+        self.jobs.sort_by_key(|j| (j.submit, j.id));
+        let mut latest = SimTime(i64::MIN);
+        self.latest_end.clear();
+        self.latest_end.extend(self.jobs.iter().map(|j| {
+            latest = latest.max(j.recorded_end);
+            latest
+        }));
     }
 
     pub fn len(&self) -> usize {
@@ -66,11 +96,19 @@ impl Dataset {
 
     /// Jobs overlapping `[start, end)` — §3.2.2: "jobs that ended before
     /// start of the simulation time or were submitted after end of the
-    /// simulation time are dismissed".
+    /// simulation time are dismissed" — in dataset order: exactly the jobs
+    /// and order of `jobs().iter().filter(|j| j.recorded_end > start &&
+    /// j.submit < end)`. Two binary searches bound the scan: on `submit`
+    /// for the first job submitted at or after `end`, and on the running
+    /// maximum of `recorded_end` for the first job that can end after
+    /// `start`. Only the jobs between them are filtered, so the cost
+    /// follows the window, not the length of the trace.
     pub fn jobs_in_window(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = &Job> {
-        self.jobs
+        let hi = self.jobs.partition_point(|j| j.submit < end);
+        let lo = self.latest_end[..hi].partition_point(|&e| e <= start);
+        self.jobs[lo..hi]
             .iter()
-            .filter(move |j| j.recorded_end > start && j.submit < end)
+            .filter(move |j| j.recorded_end > start)
     }
 
     /// Peak concurrent node demand of the *recorded* schedule — used by

@@ -208,7 +208,7 @@ mod tests {
         assert!(!recs.is_empty());
         assert!(recs.iter().all(|r| !r.gpu_util.is_empty()));
         let ds = load(&cfg, &recs);
-        assert!(ds.jobs.iter().all(|j| j.telemetry.gpu_util.is_some()));
+        assert!(ds.jobs().iter().all(|j| j.telemetry.gpu_util.is_some()));
     }
 
     #[test]

@@ -156,9 +156,9 @@ mod tests {
         spec.span = SimDuration::hours(8);
         let ds = synthesize(&cfg, &spec);
         assert!(!ds.is_empty());
-        assert!(ds.jobs.iter().all(|j| j.recorded_nodes.is_none()));
+        assert!(ds.jobs().iter().all(|j| j.recorded_nodes.is_none()));
         assert!(ds
-            .jobs
+            .jobs()
             .iter()
             .all(|j| j.telemetry.node_power_w.as_ref().unwrap().len() == 1));
     }

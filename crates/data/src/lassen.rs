@@ -173,7 +173,7 @@ mod tests {
             .filter(|s| s.alloc_id == a0.alloc_id)
             .map(|s| s.energy_j)
             .sum();
-        let j0 = ds.jobs.iter().find(|j| j.id.0 == a0.alloc_id).unwrap();
+        let j0 = ds.jobs().iter().find(|j| j.id.0 == a0.alloc_id).unwrap();
         let p = j0.telemetry.node_power_w.as_ref().unwrap().mean() as f64;
         let re = p * a0.num_nodes as f64 * (a0.end_ts - a0.begin_ts) as f64;
         assert!((re - sum_e).abs() / sum_e < 0.01);
@@ -184,7 +184,7 @@ mod tests {
         let cfg = presets::lassen();
         let ds = synthesize(&cfg, &spec(&cfg));
         assert!(ds
-            .jobs
+            .jobs()
             .iter()
             .all(|j| j.telemetry.net_tx_mbs.is_some() && j.telemetry.net_rx_mbs.is_some()));
     }
@@ -204,7 +204,7 @@ mod tests {
         };
         let ds = load(&cfg, &[alloc], &[]);
         assert_eq!(
-            ds.jobs[0].telemetry.node_power_w.as_ref().unwrap().mean(),
+            ds.jobs()[0].telemetry.node_power_w.as_ref().unwrap().mean(),
             0.0
         );
     }

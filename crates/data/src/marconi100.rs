@@ -172,7 +172,7 @@ mod tests {
         let shared = recs.iter().filter(|r| r.shared).count();
         let ds = load(&cfg, &recs);
         assert_eq!(ds.len(), recs.len() - shared);
-        assert!(ds.jobs.iter().all(|j| j.recorded_nodes.is_some()));
+        assert!(ds.jobs().iter().all(|j| j.recorded_nodes.is_some()));
     }
 
     #[test]
@@ -186,7 +186,7 @@ mod tests {
     fn power_traces_within_envelope() {
         let cfg = presets::marconi100();
         let ds = synthesize(&cfg, &small_spec(&cfg));
-        for j in ds.jobs.iter().take(30) {
+        for j in ds.jobs().iter().take(30) {
             let t = j.telemetry.node_power_w.as_ref().unwrap();
             assert!(t.max() as f64 <= cfg.node_power.peak_node_w() * 1.3);
             assert!(t.min() as f64 >= cfg.node_power.idle_node_w() * 0.6);

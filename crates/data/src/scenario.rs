@@ -332,7 +332,7 @@ mod tests {
         let giant = (9216.0 * s.config.total_nodes as f64 / 9600.0).round() as u32;
         let count = s
             .dataset
-            .jobs
+            .jobs()
             .iter()
             .filter(|j| j.nodes_requested == giant.min(s.config.total_nodes))
             .count();
@@ -356,14 +356,14 @@ mod tests {
         let day = 86_400;
         let early: f64 = s
             .dataset
-            .jobs
+            .jobs()
             .iter()
             .filter(|j| j.submit.as_secs() < 2 * day)
             .map(|j| j.nodes_requested as f64 * j.duration().as_hours_f64())
             .sum();
         let late: f64 = s
             .dataset
-            .jobs
+            .jobs()
             .iter()
             .filter(|j| (2 * day..7 * day).contains(&j.submit.as_secs()))
             .map(|j| j.nodes_requested as f64 * j.duration().as_hours_f64())
@@ -378,7 +378,7 @@ mod tests {
     fn scenarios_are_deterministic() {
         let a = fig4(77);
         let b = fig4(77);
-        assert_eq!(a.dataset.jobs.len(), b.dataset.jobs.len());
-        assert_eq!(a.dataset.jobs[0], b.dataset.jobs[0]);
+        assert_eq!(a.dataset.jobs().len(), b.dataset.jobs().len());
+        assert_eq!(a.dataset.jobs()[0], b.dataset.jobs()[0]);
     }
 }

@@ -66,10 +66,10 @@ pub fn parse_swf(name: &str, text: &str, procs_per_node: u32) -> Result<Dataset>
 
 /// Render a dataset as SWF text (lossy: power telemetry has no SWF field).
 pub fn to_swf(ds: &Dataset, procs_per_node: u32) -> String {
-    let mut out = String::with_capacity(ds.jobs.len() * 64 + 128);
+    let mut out = String::with_capacity(ds.len() * 64 + 128);
     out.push_str("; generated by sraps\n");
     out.push_str(&format!("; system: {}\n", ds.system));
-    for j in &ds.jobs {
+    for j in ds.jobs() {
         let wait = (j.recorded_start - j.submit).clamp_non_negative().as_secs();
         let runtime = j.duration().as_secs();
         let procs = j.nodes_requested * procs_per_node;
@@ -103,7 +103,7 @@ mod tests {
     fn parse_basic_fields() {
         let ds = parse_swf("t", SAMPLE, 1).unwrap();
         assert_eq!(ds.len(), 2);
-        let j = &ds.jobs[0];
+        let j = &ds.jobs()[0];
         assert_eq!(j.id.0, 1);
         assert_eq!(j.submit, SimTime::seconds(0));
         assert_eq!(j.recorded_start, SimTime::seconds(10));
@@ -117,13 +117,13 @@ mod tests {
     #[test]
     fn missing_req_time_falls_back_to_runtime() {
         let ds = parse_swf("t", SAMPLE, 1).unwrap();
-        assert_eq!(ds.jobs[1].walltime_limit, SimDuration::seconds(60));
+        assert_eq!(ds.jobs()[1].walltime_limit, SimDuration::seconds(60));
     }
 
     #[test]
     fn procs_per_node_conversion_rounds_up() {
         let ds = parse_swf("t", "1 0 0 10 9 -1 -1 9 10 -1 1 0 0 -1 -1 -1 -1 -1\n", 4).unwrap();
-        assert_eq!(ds.jobs[0].nodes_requested, 3, "9 procs on 4-proc nodes");
+        assert_eq!(ds.jobs()[0].nodes_requested, 3, "9 procs on 4-proc nodes");
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
         let text = to_swf(&ds, 1);
         let ds2 = parse_swf("t", &text, 1).unwrap();
         assert_eq!(ds.len(), ds2.len());
-        for (a, b) in ds.jobs.iter().zip(&ds2.jobs) {
+        for (a, b) in ds.jobs().iter().zip(ds2.jobs()) {
             assert_eq!(a.submit, b.submit);
             assert_eq!(a.recorded_start, b.recorded_start);
             assert_eq!(a.recorded_end, b.recorded_end);

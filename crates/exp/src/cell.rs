@@ -65,11 +65,13 @@ impl WorkloadPlan {
     /// config. Prebuilt plans hash the system config, the window bounds
     /// resolved as [`sraps_core::SimWindow::new`] resolves them, and each
     /// job [`Dataset::jobs_in_window`] selects (telemetry included) in
-    /// dataset order — exactly what the engine reads of a dataset. A
-    /// window of a long trace thus hashes its own jobs, not the whole
-    /// trace, and edits outside the window keep its key. Labels and
-    /// groups are cosmetic and deliberately excluded, so renaming a study
-    /// does not orphan its cache entries.
+    /// dataset order — exactly what the engine reads of a dataset. Each
+    /// job goes in field by field ([`Fingerprinter::write_job`]), not as
+    /// Debug text. A window of a long trace thus costs its own jobs, found
+    /// by binary search, not a pass over the whole trace, and edits
+    /// outside the window keep its key. Labels and groups are cosmetic
+    /// and deliberately excluded, so renaming a study does not orphan its
+    /// cache entries.
     pub fn fingerprint(&self) -> Result<Fingerprint> {
         let mut fp = Fingerprinter::new();
         match self {
@@ -94,12 +96,12 @@ impl WorkloadPlan {
             WorkloadPlan::Prebuilt(w) => {
                 let (start, end) = w.window.unzip();
                 let (start, end) = w.dataset.resolve_window(start, end);
-                fp.write_str("prebuilt-window");
+                fp.write_str("prebuilt-window-fields");
                 fp.write_debug(&w.config);
                 fp.write_i64(start.as_secs());
                 fp.write_i64(end.as_secs());
                 for job in w.dataset.jobs_in_window(start, end) {
-                    fp.write_debug(job);
+                    fp.write_job(job);
                 }
             }
         }
@@ -301,7 +303,7 @@ mod tests {
         let a = plan.materialize().unwrap();
         let b = plan.materialize().unwrap();
         assert!(!a.dataset.is_empty());
-        assert_eq!(a.dataset.jobs, b.dataset.jobs);
+        assert_eq!(a.dataset.jobs(), b.dataset.jobs());
         assert_eq!(a.config.name, "lassen");
     }
 

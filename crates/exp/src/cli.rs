@@ -593,9 +593,24 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
         results.wall.as_secs_f64(),
         results.jobs
     );
-    if !report.failed.is_empty() {
+    // Failed cells by cause: out of retries, or on an error that is not
+    // retried (a configuration error fails at once).
+    let exhausted = results
+        .failed_cells()
+        .iter()
+        .filter(|c| c.failure.as_ref().is_some_and(|f| f.exhausted))
+        .count();
+    let not_retried = report.failed.len() - exhausted;
+    let failed_by_cause: Vec<(usize, &str)> = [
+        (exhausted, "exhausted retries"),
+        (not_retried, "hit an error that is not retried"),
+    ]
+    .into_iter()
+    .filter(|&(n, _)| n > 0)
+    .collect();
+    for (n, cause) in &failed_by_cause {
         // Greppable (tests and CI pin this shape), mirrors the cache line.
-        println!("failed: {} cells exhausted retries", report.failed.len());
+        println!("failed: {n} cells {cause}");
     }
     if let Some(dir) = &cache_dir {
         // The CI cache job greps this exact shape.
@@ -663,10 +678,15 @@ pub fn sweep_command(argv: &[String]) -> Result<(), String> {
     // still leaves its (failure-annotated) artifacts behind — and *then*
     // the run exits nonzero so scripts and CI notice.
     if !report.failed.is_empty() {
+        let causes: Vec<String> = failed_by_cause
+            .iter()
+            .map(|(n, cause)| format!("{n} {cause}"))
+            .collect();
         return Err(format!(
-            "{} of {} cells exhausted retries (see the failed-cells table above)",
+            "{} of {} cells failed: {} (see the failed-cells table above)",
             report.failed.len(),
             results.cells.len(),
+            causes.join(", "),
         ));
     }
     Ok(())

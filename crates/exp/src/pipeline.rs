@@ -324,7 +324,7 @@ impl CellJob<'_> {
 /// Errors worth a bounded in-process retry: transient I/O hiccups and
 /// worker panics (which injected faults model as fire-once). Config and
 /// simulation-semantics errors are deterministic — retrying re-fails.
-fn retryable(e: &SrapsError) -> bool {
+pub(crate) fn retryable(e: &SrapsError) -> bool {
     matches!(e, SrapsError::Io(_) | SrapsError::Panic(_))
 }
 

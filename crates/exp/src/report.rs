@@ -47,7 +47,7 @@ pub struct SummaryRow {
     pub metrics: CellMetrics,
 }
 
-/// A cell that exhausted its retries. Kept out of [`Report::rows`] (its
+/// A cell that failed. Kept out of [`Report::rows`] (its
 /// placeholder metrics would poison baselines and seed means) and listed
 /// here instead.
 #[derive(Debug, Clone, Serialize)]

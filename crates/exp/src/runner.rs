@@ -49,7 +49,7 @@ use crate::cell::{CellSpec, WorkloadPlan};
 use crate::claims::ClaimSet;
 use crate::matrix::ExperimentMatrix;
 use crate::metrics::CellMetrics;
-use crate::pipeline::{CellJob, Probe, Step, WorkloadMemo};
+use crate::pipeline::{retryable, CellJob, Probe, Step, WorkloadMemo};
 use sraps_core::{Fingerprint, SimOutput};
 use sraps_obs::{Counter, Phase as ObsPhase, Profile};
 use sraps_types::{Result, SrapsError};
@@ -67,8 +67,13 @@ use std::time::Duration;
 pub struct CellFailure {
     /// Rendered error of the *last* attempt.
     pub error: String,
-    /// Total attempts made (1 + retries).
+    /// Total attempts made: `retries + 1` when `exhausted`, fewer when
+    /// the last error is not retried.
     pub attempts: u32,
+    /// The cell ran out of retries: its last error is of a kind that is
+    /// retried (a panic or an I/O error). False when the error is not
+    /// retried (a configuration error fails the cell at once).
+    pub exhausted: bool,
 }
 
 /// One finished cell: its spec, its workload's label, the scalar metrics
@@ -98,7 +103,7 @@ pub struct CellResult {
     /// `--jobs` value — except that the shared window's build lands in
     /// whichever cell of the workload needed it first.
     pub profile: Option<Profile>,
-    /// `Some` when the cell exhausted its retries: `metrics` is the
+    /// `Some` when the cell failed: `metrics` is the
     /// all-zero placeholder and the cell is excluded from report rows.
     pub failure: Option<CellFailure>,
 }
@@ -165,7 +170,7 @@ impl SweepResults {
         self.cells.len() - self.cache_hits()
     }
 
-    /// Cells that exhausted their retries, in matrix order.
+    /// Cells that failed (see [`CellFailure`]), in matrix order.
     pub fn failed_cells(&self) -> Vec<&CellResult> {
         self.cells.iter().filter(|c| c.failure.is_some()).collect()
     }
@@ -503,6 +508,7 @@ impl CellExec<'_> {
                 None,
                 false,
                 Some(CellFailure {
+                    exhausted: retryable(&error),
                     error: error.to_string(),
                     attempts,
                 }),

@@ -1,8 +1,9 @@
 //! Fingerprint-stability suite: the cache key must change whenever any
 //! sim-relevant axis changes, collide for identical specs, and stay
-//! stable across processes and releases (golden-key fixtures — if one of
-//! those fails, the canonical serialization drifted and every on-disk
-//! cache silently went stale: bump `ENGINE_SCHEMA_VERSION` and repin).
+//! stable across processes and releases (golden-key fixtures: if one of
+//! those fails, the keys moved, and whether `ENGINE_SCHEMA_VERSION` must
+//! be bumped before repinning depends on why; see
+//! `golden_keys_pin_the_schema`).
 
 use proptest::prelude::*;
 use sraps_core::{Fingerprint, SchedulerSelect};
@@ -10,7 +11,7 @@ use sraps_data::{Dataset, WorkloadSpec};
 use sraps_exp::{CellSpec, ExperimentMatrix, PrebuiltWorkload, SweepRunner, WorkloadPlan};
 use sraps_systems::{presets, SystemConfig};
 use sraps_types::job::JobBuilder;
-use sraps_types::{Job, JobTelemetry, SimDuration, SimTime};
+use sraps_types::{Job, JobId, JobTelemetry, NodeSet, SimDuration, SimTime, Trace};
 use std::sync::{Arc, OnceLock};
 
 const SYSTEMS: &[&str] = &["frontier", "marconi100", "fugaku", "lassen", "adastra"];
@@ -134,9 +135,12 @@ proptest! {
 }
 
 /// Golden keys: fixed specs hashed today. These encode the cross-process
-/// stability promise — a failure means the canonical serialization (or a
+/// stability promise: a failure means the canonical serialization (or a
 /// preset system, whose config is folded into synthetic fingerprints)
-/// changed, and `ENGINE_SCHEMA_VERSION` must be bumped before repinning.
+/// changed. A change of encoding moves the key itself, so old entries
+/// are never looked up again, and needs no salt bump: repin. A change of
+/// semantics, where the same inputs now simulate differently, still
+/// needs `ENGINE_SCHEMA_VERSION` bumped before repinning.
 #[test]
 fn golden_keys_pin_the_schema() {
     let wfp = plan("lassen", 0.7, 42, 24, 1.0)
@@ -177,7 +181,7 @@ fn golden_keys_pin_the_schema() {
     let window = (SimTime::seconds(3_600), SimTime::seconds(7_200));
     assert_eq!(
         plan_key(prebuilt(&presets::lassen(), ds, Some(window))).hex(),
-        "4a274b27f91362a05e3c0f8c24b134ca",
+        "666fa6e50ec7257b1cdf7238bd74f1dd",
         "windowed workload fingerprint schema drifted"
     );
 }
@@ -268,10 +272,10 @@ fn edit(job: &mut Job, kind: usize, delta: i64) {
     }
 }
 
-/// Whether the window `[start, end)` selects job `i` of `ds`.
-fn selects(ds: &Dataset, start: SimTime, end: SimTime, i: usize) -> bool {
-    ds.jobs_in_window(start, end)
-        .any(|j| std::ptr::eq(j, &ds.jobs[i]))
+/// Whether the window `[start, end)` selects job `id` of `ds`. By id,
+/// not position: `Dataset::edit_jobs` re-sorts an edited submit time.
+fn selects(ds: &Dataset, start: SimTime, end: SimTime, id: JobId) -> bool {
+    ds.jobs_in_window(start, end).any(|j| j.id == id)
 }
 
 proptest! {
@@ -290,13 +294,14 @@ proptest! {
         let base = &trace().1;
         let start = base.capture_start + SimDuration::seconds(offset);
         let end = start + SimDuration::seconds(len);
-        let i = pick % base.jobs.len();
+        let i = pick % base.len();
+        let id = base.jobs()[i].id;
         let mut edited = base.clone();
-        edit(&mut edited.jobs[i], kind, if negate { -delta } else { delta });
+        edited.edit_jobs(|jobs| edit(&mut jobs[i], kind, if negate { -delta } else { delta }));
         let changed = window_key(base, start, end) != window_key(&edited, start, end);
         prop_assert_eq!(
             changed,
-            selects(base, start, end, i) || selects(&edited, start, end, i),
+            selects(base, start, end, id) || selects(&edited, start, end, id),
             "edit {} of job {} in window +{}s..+{}s", kind, i, offset, offset + len
         );
     }
@@ -333,14 +338,16 @@ fn jobs_ended_before_the_window_reach_neither_key_nor_metrics() {
     let start = ds.capture_start + SimDuration::hours(3);
     let end = start + SimDuration::hours(1);
     let i = ds
-        .jobs
+        .jobs()
         .iter()
         .position(|j| j.recorded_end + SimDuration::hours(1) < start)
         .expect("a job ends an hour before the window");
     let mut edited = ds.clone();
-    for kind in 0..3 {
-        edit(&mut edited.jobs[i], kind, -600);
-    }
+    edited.edit_jobs(|jobs| {
+        for kind in 0..3 {
+            edit(&mut jobs[i], kind, -600);
+        }
+    });
     assert_eq!(window_key(ds, start, end), window_key(&edited, start, end));
     let metrics = |ds: &Dataset| {
         let matrix = ExperimentMatrix::scenario(prebuilt(cfg, ds.clone(), Some((start, end))))
@@ -364,11 +371,134 @@ fn jobs_running_at_the_window_start_are_keyed() {
     let start = ds.capture_start + SimDuration::hours(3);
     let end = start + SimDuration::hours(1);
     let i = ds
-        .jobs
+        .jobs()
         .iter()
         .position(|j| j.recorded_start < start && j.recorded_end > start)
         .expect("a job runs across the window start");
     let mut edited = ds.clone();
-    edit(&mut edited.jobs[i], 0, 100);
+    edited.edit_jobs(|jobs| edit(&mut jobs[i], 0, 100));
     assert_ne!(window_key(ds, start, end), window_key(&edited, start, end));
+}
+
+/// Two jobs inside the window `[3600, 7200)` of a hand-built lassen
+/// trace. Every `Option` is `Some` and every trace has several samples,
+/// so each field has a value to change.
+fn full_job_dataset() -> Dataset {
+    let trace = |base: f32| {
+        Trace::new(
+            SimDuration::seconds(10),
+            SimDuration::seconds(20),
+            vec![base, base + 1.0, base + 2.0],
+        )
+    };
+    let job = |id: u64, submit: i64| {
+        JobBuilder::new(id)
+            .user(3)
+            .account(5)
+            .submit(SimTime::seconds(submit))
+            .window(
+                SimTime::seconds(submit + 100),
+                SimTime::seconds(submit + 900),
+            )
+            .walltime(SimDuration::seconds(1_800))
+            .nodes(2)
+            .placement(NodeSet::contiguous(4, 2))
+            .priority(1.5)
+            .telemetry(JobTelemetry {
+                cpu_util: Some(trace(0.5)),
+                gpu_util: Some(trace(0.25)),
+                mem_util: Some(trace(0.125)),
+                node_power_w: Some(trace(900.0)),
+                net_tx_mbs: Some(trace(10.0)),
+                net_rx_mbs: Some(trace(20.0)),
+                flags: Default::default(),
+            })
+            .ml_score(0.75)
+            .build()
+    };
+    Dataset::new("lassen", vec![job(1, 4_000), job(2, 4_200)])
+}
+
+/// A named edit of one job, and of one of its traces.
+type JobEdit = (&'static str, fn(&mut Job));
+type TraceEdit = (&'static str, fn(&mut Option<Trace>));
+
+/// The window's key changes with every field of a job it selects: each
+/// field of `Job` and of its telemetry, each part of each trace, and
+/// each capture flag. Two datasets built the same way key equal.
+#[test]
+fn every_job_field_reaches_the_window_key() {
+    let (start, end) = (SimTime::seconds(3_600), SimTime::seconds(7_200));
+    let key = |ds: &Dataset| plan_key(prebuilt(&presets::lassen(), ds.clone(), Some((start, end))));
+    let base = full_job_dataset();
+    let base_key = key(&base);
+    assert_eq!(key(&full_job_dataset()), base_key, "same build, same key");
+
+    let job_edits: Vec<JobEdit> = vec![
+        ("id", |j| j.id.0 += 10),
+        ("user", |j| j.user.0 += 1),
+        ("account", |j| j.account.0 += 1),
+        ("submit", |j| j.submit += SimDuration::seconds(1)),
+        ("recorded_start", |j| {
+            j.recorded_start += SimDuration::seconds(1)
+        }),
+        ("recorded_end", |j| {
+            j.recorded_end += SimDuration::seconds(1)
+        }),
+        ("walltime_limit", |j| {
+            j.walltime_limit = SimDuration::seconds(1_801)
+        }),
+        ("nodes_requested", |j| j.nodes_requested += 1),
+        ("recorded_nodes set", |j| {
+            j.recorded_nodes = Some(NodeSet::contiguous(5, 2))
+        }),
+        ("recorded_nodes none", |j| j.recorded_nodes = None),
+        ("priority", |j| j.priority += 0.5),
+        ("ml_score value", |j| j.ml_score = Some(0.5)),
+        ("ml_score none", |j| j.ml_score = None),
+        ("started_before_capture", |j| {
+            j.telemetry.flags.started_before_capture ^= true
+        }),
+        ("ended_after_capture", |j| {
+            j.telemetry.flags.ended_after_capture ^= true
+        }),
+    ];
+    let trace_edits: Vec<TraceEdit> = vec![
+        ("t0", |t| t.as_mut().unwrap().t0 += SimDuration::seconds(1)),
+        ("dt", |t| t.as_mut().unwrap().dt += SimDuration::seconds(1)),
+        ("one value", |t| t.as_mut().unwrap().values[1] += 1.0),
+        ("length", |t| t.as_mut().unwrap().values.push(0.0)),
+        ("none", |t| *t = None),
+    ];
+    let slots: [fn(&mut JobTelemetry) -> &mut Option<Trace>; 6] = [
+        |t| &mut t.cpu_util,
+        |t| &mut t.gpu_util,
+        |t| &mut t.mem_util,
+        |t| &mut t.node_power_w,
+        |t| &mut t.net_tx_mbs,
+        |t| &mut t.net_rx_mbs,
+    ];
+    let mut checked = 0;
+    let mut expect_moved = |what: String, f: &dyn Fn(&mut Job)| {
+        let mut edited = base.clone();
+        edited.edit_jobs(|jobs| f(&mut jobs[0]));
+        assert_eq!(
+            edited.jobs_in_window(start, end).count(),
+            2,
+            "{what}: the edited job stays selected"
+        );
+        assert_ne!(key(&edited), base_key, "{what} did not reach the key");
+        checked += 1;
+    };
+    for (name, f) in &job_edits {
+        expect_moved(name.to_string(), f);
+    }
+    for (slot, get) in slots.iter().enumerate() {
+        for (name, f) in &trace_edits {
+            expect_moved(format!("trace {slot}: {name}"), &|j: &mut Job| {
+                f(get(&mut j.telemetry))
+            });
+        }
+    }
+    assert_eq!(checked, job_edits.len() + 6 * trace_edits.len());
 }

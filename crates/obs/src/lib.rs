@@ -201,8 +201,9 @@ pub enum Counter {
     /// Per-cell retry attempts after a worker panic or transient I/O
     /// failure (attempts beyond the first).
     CellRetries,
-    /// Cells that exhausted their retries and landed in the failed-cells
-    /// table instead of the report.
+    /// Cells that failed (out of retries, or on an error that is not
+    /// retried) and landed in the failed-cells table instead of the
+    /// report.
     CellsFailed,
     /// Faults fired by an armed `FaultPlan` (panics, failed/delayed
     /// writes, truncations).
@@ -300,7 +301,7 @@ impl Counter {
             Counter::ClaimsStaleReclaimed => "stale claim leases reclaimed after the TTL",
             Counter::ClaimsContended => "claim attempts that found a live foreign lease",
             Counter::CellRetries => "cell retry attempts after a panic or I/O fault",
-            Counter::CellsFailed => "cells that exhausted retries (failed-cells table)",
+            Counter::CellsFailed => "cells that failed (failed-cells table)",
             Counter::FaultsInjected => "faults fired by an armed fault plan",
             Counter::CacheWriteErrors => "cache write-backs degraded to a warning",
         }

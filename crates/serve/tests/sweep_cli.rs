@@ -478,9 +478,24 @@ fn ml_policy_on_unscored_jobs_fails_naming_the_policy() {
     for args in runs {
         let out = sraps().args(args).arg(&dir).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
         // A sweep names a failed cell's error in its failed-cells table.
-        let text = String::from_utf8_lossy(&out.stderr) + String::from_utf8_lossy(&out.stdout);
+        let text = format!("{stderr}{stdout}");
         assert!(text.contains("policy 'ml'"), "{args:?}: {text}");
+        if args[0] == "sweep" {
+            // A configuration error is not retried, so the sweep words
+            // the failure by that cause, not as exhausted retries.
+            assert!(
+                stdout.contains("failed: 1 cells hit an error that is not retried"),
+                "{stdout}"
+            );
+            assert!(!stdout.contains("exhausted retries"), "{stdout}");
+            assert!(
+                stderr.contains("1 of 2 cells failed: 1 hit an error that is not retried"),
+                "{stderr}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

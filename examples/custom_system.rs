@@ -46,15 +46,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // profiles (or fingerprint predictions) per job id, as a real
     // deployment would. Without this the twin can only model idle draw.
     let telemetry: std::collections::HashMap<_, _> = generated
-        .jobs
+        .jobs()
         .iter()
         .map(|j| (j.id, j.telemetry.clone()))
         .collect();
-    for j in &mut dataset.jobs {
-        if let Some(t) = telemetry.get(&j.id) {
-            j.telemetry = t.clone();
+    dataset.edit_jobs(|jobs| {
+        for j in jobs {
+            if let Some(t) = telemetry.get(&j.id) {
+                j.telemetry = t.clone();
+            }
         }
-    }
+    });
     println!(
         "trace: {} jobs via SWF round-trip (+ telemetry re-attach)",
         dataset.len()

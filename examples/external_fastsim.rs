@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Sequential mode: schedule everything in FastSim first… ---------
     let ext_jobs: Vec<ExtJob> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .map(|j| ExtJob {
             job: QueuedJob {
@@ -69,14 +69,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rescheduled = s.dataset.clone();
     let by_id: std::collections::HashMap<_, SimTime> =
         starts.iter().map(|st| (st.job, st.start)).collect();
-    for j in &mut rescheduled.jobs {
-        if let Some(&start) = by_id.get(&j.id) {
-            let dur = j.duration();
-            j.recorded_start = start;
-            j.recorded_end = start + dur;
-            j.recorded_nodes = None; // FastSim decided counts, not placements
+    rescheduled.edit_jobs(|jobs| {
+        for j in jobs {
+            if let Some(&start) = by_id.get(&j.id) {
+                let dur = j.duration();
+                j.recorded_start = start;
+                j.recorded_end = start + dur;
+                j.recorded_nodes = None; // FastSim decided counts, not placements
+            }
         }
-    }
+    });
     let replay = SimConfig::replay(s.config.clone()).with_window(s.sim_start, s.sim_end);
     let raps_out = Engine::new(replay, &rescheduled)?.run()?;
     println!("{}", summary_line(&raps_out));

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = sraps_types::SimTime::seconds(2 * 86_400);
     let history: Vec<sraps_types::Job> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.recorded_end <= split)
         .cloned()
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Inference: annotate all jobs with scores (the artifact's
     // inference_results.parquet handoff).
-    pipeline.annotate(&mut s.dataset.jobs);
+    s.dataset.edit_jobs(|jobs| pipeline.annotate(jobs));
 
     let policies = ["fcfs", "sjf", "ljf", "priority", "ml"];
     let outputs: Vec<SimOutput> = policies

@@ -146,14 +146,14 @@ fn ml_pipeline_to_engine_handoff() {
     let split = SimTime::seconds(2 * 86_400);
     let history: Vec<sraps_types::Job> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.recorded_end <= split)
         .cloned()
         .collect();
     let pipeline = MlPipeline::train(&history, PipelineConfig::default()).unwrap();
-    pipeline.annotate(&mut s.dataset.jobs);
-    assert!(s.dataset.jobs.iter().all(|j| j.ml_score.is_some()));
+    s.dataset.edit_jobs(|jobs| pipeline.annotate(jobs));
+    assert!(s.dataset.jobs().iter().all(|j| j.ml_score.is_some()));
     let sim = SimConfig::new(s.config.clone(), "ml", "firstfit")
         .unwrap()
         .with_window(s.sim_start, s.sim_end);
@@ -367,7 +367,7 @@ fn priority_aging_rescues_starving_giants() {
     let s = scenario::fig8_scaled(3, 0.04);
     let giant = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .map(|j| j.nodes_requested)
         .max()
@@ -425,7 +425,7 @@ fn fingerprinting_forecasts_held_out_profiles() {
     let mut spec = sraps_data::WorkloadSpec::for_system(&cfg, 0.5, 73);
     spec.span = SimDuration::hours(6);
     let ds = sraps_data::marconi100::synthesize(&cfg, &spec);
-    let (train, test) = ds.jobs.split_at(ds.jobs.len() * 3 / 4);
+    let (train, test) = ds.jobs().split_at(ds.len() * 3 / 4);
     let lib = FingerprintLibrary::build(train, 4, 7).unwrap();
     let mut checked = 0;
     for j in test.iter().filter(|j| j.duration().as_secs() >= 1800) {
@@ -457,7 +457,7 @@ fn dismissed_jobs_never_run() {
         .with_window(start, end);
     let out = Engine::new(sim, &ds).unwrap().run().unwrap();
     for o in &out.outcomes {
-        let j = ds.jobs.iter().find(|j| j.id == o.id).unwrap();
+        let j = ds.jobs().iter().find(|j| j.id == o.id).unwrap();
         assert!(
             j.recorded_end > start && j.submit < end,
             "job {} outside the window was simulated",

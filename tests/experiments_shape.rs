@@ -63,7 +63,7 @@ fn fig6_shape_giants_start_earlier_and_cooling_follows() {
     let s = scenario::fig6_scaled(7, 0.06);
     let giant_nodes = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .map(|j| j.nodes_requested)
         .max()
@@ -151,13 +151,13 @@ fn fig10_shape_ml_diverges_only_under_load() {
     let split = SimTime::seconds(2 * 86_400);
     let history: Vec<sraps_types::Job> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.recorded_end <= split)
         .cloned()
         .collect();
     let pipeline = MlPipeline::train(&history, PipelineConfig::default()).unwrap();
-    pipeline.annotate(&mut s.dataset.jobs);
+    s.dataset.edit_jobs(|jobs| pipeline.annotate(jobs));
 
     let fcfs = run_scenario(&s, "fcfs", "firstfit");
     let ml = run_scenario(&s, "ml", "firstfit");
@@ -194,13 +194,13 @@ fn fig10_shape_ml_wait_time_competitive() {
     let split = SimTime::seconds(2 * 86_400);
     let history: Vec<sraps_types::Job> = s
         .dataset
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.recorded_end <= split)
         .cloned()
         .collect();
     let pipeline = MlPipeline::train(&history, PipelineConfig::default()).unwrap();
-    pipeline.annotate(&mut s.dataset.jobs);
+    s.dataset.edit_jobs(|jobs| pipeline.annotate(jobs));
 
     let ml = run_scenario(&s, "ml", "firstfit");
     let ljf = run_scenario(&s, "ljf", "firstfit");
