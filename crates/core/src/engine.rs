@@ -17,9 +17,10 @@
 //! its next internal deadline ([`SchedulerBackend::next_decision_time`]):
 //! built-in policies with none/first-fit/EASY backfill change their
 //! decisions only at events and answer `None`, conservative backfill
-//! exposes its earliest future reservation, replay (also under a power
-//! cap) the earliest future recorded start, external engines their next
-//! internal event — and the skip horizon is bounded by that deadline.
+//! exposes the earlier of its next reservation and its planner's bound
+//! on every job it left unplanned, replay (also under a power cap) the
+//! earliest future recorded start, external engines their next internal
+//! event — and the skip horizon is bounded by that deadline.
 //! Only backends that cannot bound their next decision (a conservative
 //! plan whose matured reservation failed to allocate, a cap-deferred
 //! proposal under EASY/conservative, an external engine without an

@@ -24,12 +24,12 @@
 //!   the cell; callers defer the cell and poll for the cache entry
 //!   instead of blocking a worker thread on it.
 //! * **Reclaim** — a claim whose heartbeat is older than the TTL
-//!   (default 30 s, `SRAPS_CLAIM_TTL_MS`) belongs to a dead or wedged
-//!   worker. After a jittered confirmation pause the claimant `rename`s
-//!   the stale claim to a unique tombstone — rename is atomic, so
-//!   exactly one of N racing reclaimers succeeds — and retries the
-//!   exclusive create. Corrupt or torn claim files (a worker killed
-//!   mid-install) are stale once their mtime ages past the TTL.
+//!   (default 30 s, at least 20 ms, `SRAPS_CLAIM_TTL_MS`) belongs to a
+//!   dead or wedged worker. After a jittered confirmation pause the
+//!   claimant `rename`s the stale claim to a unique tombstone — rename
+//!   is atomic, so exactly one of N racing reclaimers succeeds — and
+//!   retries the exclusive create. Corrupt or torn claim files (a worker
+//!   killed mid-install) are stale once their mtime ages past the TTL.
 //! * **Release** — the lease file is removed on completion (or drop).
 //!   Release verifies ownership first so a worker whose lease was
 //!   reclaimed while it was wedged cannot delete the new owner's claim.
@@ -59,6 +59,13 @@ static LIVE: Mutex<Vec<Weak<Shared>>> = Mutex::new(Vec::new());
 pub const DEFAULT_TTL: Duration = Duration::from_secs(30);
 /// Default base poll/backoff interval for contended cells.
 pub const DEFAULT_POLL: Duration = Duration::from_millis(25);
+/// The heartbeat refreshes held claims every TTL/4, but never more often
+/// than this.
+const HEARTBEAT_FLOOR: Duration = Duration::from_millis(5);
+/// The shortest TTL the heartbeat keeps a live lease fresh under: below
+/// four times the heartbeat's 5 ms floor, a lease reads as stale between
+/// heartbeats and a peer reclaims it and simulates the cell again.
+pub const MIN_TTL: Duration = Duration::from_millis(20);
 
 /// On-disk claim body. Readers only trust `heartbeat_ms` (and the file
 /// mtime when the JSON is torn); `owner`/`pid` are for ownership checks
@@ -280,11 +287,14 @@ impl Drop for Lease {
 impl ClaimSet {
     /// Open the claim namespace under `dir` (the cache directory) with
     /// TTL/poll taken from `SRAPS_CLAIM_TTL_MS` / `SRAPS_CLAIM_POLL_MS`
-    /// or their defaults. A set-but-malformed knob is a
-    /// [`SrapsError::Config`] here, not a silent fallback to the default.
+    /// or their defaults. A set-but-malformed knob, a TTL below
+    /// [`MIN_TTL`] or a poll of 0 is a [`SrapsError::Config`] here, not a
+    /// silent fallback or clamp.
     pub fn open(dir: impl Into<PathBuf>) -> Result<ClaimSet> {
-        let ttl = sraps_types::parse_env_ms("SRAPS_CLAIM_TTL_MS")?.unwrap_or(DEFAULT_TTL);
-        let poll = sraps_types::parse_env_ms("SRAPS_CLAIM_POLL_MS")?.unwrap_or(DEFAULT_POLL);
+        let (ttl, poll) = claim_knobs(
+            sraps_types::string_env("SRAPS_CLAIM_TTL_MS")?.as_deref(),
+            sraps_types::string_env("SRAPS_CLAIM_POLL_MS")?.as_deref(),
+        )?;
         Self::open_with(dir, ttl, poll)
     }
 
@@ -455,12 +465,40 @@ impl Drop for ClaimSet {
     }
 }
 
+/// The claim knobs from the raw `SRAPS_CLAIM_TTL_MS` and
+/// `SRAPS_CLAIM_POLL_MS` values (unset ⇒ `None` ⇒ the default), checked:
+/// a TTL below [`MIN_TTL`] or a poll of 0 is a config error naming the
+/// variable. [`ClaimSet::open_with`] would clamp either, running with a
+/// lease the heartbeat cannot keep alive.
+fn claim_knobs(ttl: Option<&str>, poll: Option<&str>) -> Result<(Duration, Duration)> {
+    let ms = |var: &str, raw| -> Result<Option<Duration>> {
+        Ok(sraps_types::parse_env_value::<u64>(var, raw)?.map(Duration::from_millis))
+    };
+    let ttl = ms("SRAPS_CLAIM_TTL_MS", ttl)?.unwrap_or(DEFAULT_TTL);
+    if ttl < MIN_TTL {
+        return Err(SrapsError::Config(format!(
+            "SRAPS_CLAIM_TTL_MS is {} ms; it must be at least {} ms, or the heartbeat \
+             (every TTL/4, at most every {} ms) cannot keep a live lease fresh",
+            ttl.as_millis(),
+            MIN_TTL.as_millis(),
+            HEARTBEAT_FLOOR.as_millis()
+        )));
+    }
+    let poll = ms("SRAPS_CLAIM_POLL_MS", poll)?.unwrap_or(DEFAULT_POLL);
+    if poll.is_zero() {
+        return Err(SrapsError::Config(
+            "SRAPS_CLAIM_POLL_MS is 0 ms; it must be at least 1 ms".into(),
+        ));
+    }
+    Ok((ttl, poll))
+}
+
 /// Refresh every held claim at TTL/4 so live leases never age out.
 /// Refreshes go through temp+rename (readers never see a torn claim)
 /// and re-verify ownership first — a lease stolen while this process
 /// was wedged must not be clobbered back.
 fn heartbeat_loop(shared: &Shared) {
-    let interval = (shared.ttl / 4).max(Duration::from_millis(5));
+    let interval = (shared.ttl / 4).max(HEARTBEAT_FLOOR);
     let mut stop = shared.stop.lock().unwrap();
     loop {
         // The flag is checked before waiting: a drop that signals before
@@ -702,6 +740,37 @@ mod tests {
         let err = sraps_types::parse_env_value::<u64>("SRAPS_CLAIM_TTL_MS", Some("30s"))
             .expect_err("malformed TTL must not silently default");
         assert!(matches!(err, SrapsError::Config(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn claim_knobs_the_heartbeat_cannot_keep_are_config_errors() {
+        // `claim_knobs` reads the raw values through `parse_env_value`,
+        // as `ClaimSet::open` does, without touching the process env.
+        for (ttl, poll, var) in [
+            (Some("0"), None, "SRAPS_CLAIM_TTL_MS"),
+            (Some("19"), None, "SRAPS_CLAIM_TTL_MS"),
+            (None, Some("0"), "SRAPS_CLAIM_POLL_MS"),
+            (Some("250"), Some(" 0 "), "SRAPS_CLAIM_POLL_MS"),
+        ] {
+            match claim_knobs(ttl, poll) {
+                Err(SrapsError::Config(msg)) => {
+                    assert!(msg.contains(var), "{ttl:?}/{poll:?}: {msg}")
+                }
+                other => panic!("{ttl:?}/{poll:?} must be a config error, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            claim_knobs(None, None).unwrap(),
+            (DEFAULT_TTL, DEFAULT_POLL)
+        );
+        assert_eq!(
+            claim_knobs(Some("20"), Some("1")).unwrap(),
+            (MIN_TTL, Duration::from_millis(1))
+        );
+        assert_eq!(
+            claim_knobs(Some("250"), Some("20")).unwrap(),
+            (Duration::from_millis(250), Duration::from_millis(20))
+        );
     }
 
     #[test]

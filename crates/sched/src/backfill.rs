@@ -134,10 +134,12 @@ pub fn conservative_plan(
 /// running jobs' estimated ends). `None` when no queued job holds a
 /// finite future reservation — the plan is then fully event-bound.
 ///
-/// This is the scheduler's `next_decision_time` hint for the engine's
-/// event core: with a frozen running set and queue, the plan's feasibility
-/// tests do not depend on `now`, so no placement can fire strictly before
-/// the earliest planned start.
+/// With a frozen running set and queue, the plan's feasibility tests do
+/// not depend on `now`, so no placement can fire strictly before the
+/// earliest planned start. Over a decided prefix it is one half of the
+/// scheduler's `next_decision_time` hint for the engine's event core; the
+/// planner's bound on the rest of the queue is the other
+/// ([`PlanScratch::next_decision_time`](crate::timeline::PlanScratch::next_decision_time)).
 pub fn next_planned_start(plan: &[SimTime], now: SimTime) -> Option<SimTime> {
     plan.iter()
         .copied()
@@ -145,17 +147,17 @@ pub fn next_planned_start(plan: &[SimTime], now: SimTime) -> Option<SimTime> {
         .min()
 }
 
-/// Whether `prefix` is a decided prefix of `full`, a whole conservative
-/// plan of the same queue at `now` — the contract of
+/// Whether `prefix` and `bound` are a decided prefix of `full`, a whole
+/// conservative plan of the same queue at `now` — the contract of
 /// [`CapacityTimeline::plan_conservative`](crate::timeline::CapacityTimeline::plan_conservative),
 /// checked against [`conservative_plan`] by the tests. The prefix equals
-/// `full` entry for entry, and each later entry of `full` is
-/// `SimTime::MAX`, or after `now` and no earlier than the prefix's
-/// [`next_planned_start`]. The jobs due by `now` and the next decision
-/// time read off the prefix are then the full plan's. `Err` names the
-/// first entry that breaks it.
+/// `full` entry for entry, `bound` is after `now`, and each later entry
+/// of `full` is `SimTime::MAX` or at or after `bound`. The jobs due by
+/// `now` read off the prefix are then the full plan's. `Err` names the
+/// first entry, or the bound, that breaks it.
 pub fn check_decided_prefix(
     prefix: &[SimTime],
+    bound: SimTime,
     full: &[SimTime],
     now: SimTime,
 ) -> Result<(), String> {
@@ -166,13 +168,12 @@ pub fn check_decided_prefix(
             full.get(k)
         ));
     }
-    let next = next_planned_start(prefix, now).unwrap_or(SimTime::MAX);
-    match (prefix.len()..full.len())
-        .find(|&k| full[k] != SimTime::MAX && (full[k] <= now || full[k] < next))
-    {
+    if bound <= now {
+        return Err(format!("the bound {bound:?} is not after now ({now:?})"));
+    }
+    match (prefix.len()..full.len()).find(|&k| full[k] != SimTime::MAX && full[k] < bound) {
         Some(k) => Err(format!(
-            "entry {k} past the prefix of {} starts at {:?}: by now ({now:?}) or before \
-             the prefix's next start ({next:?})",
+            "entry {k} past the prefix of {} starts at {:?}, before the bound {bound:?}",
             prefix.len(),
             full[k]
         )),

@@ -8,7 +8,7 @@
 //! planner's working buffers persist across calls ([`PlanScratch`]). A
 //! scheduler call that places nothing performs no allocation at all.
 
-use crate::backfill::{easy_admits, next_planned_start, BackfillKind};
+use crate::backfill::{easy_admits, BackfillKind};
 use crate::policy::PolicyKind;
 use crate::queue::JobQueue;
 use crate::resource_manager::ResourceManager;
@@ -32,10 +32,12 @@ pub struct BuiltinScheduler {
     ///   time-invariant key, EASY admission only hardens as `now`
     ///   advances, so decisions change only at events;
     /// * replay — earliest future recorded start still in the queue;
-    /// * conservative — earliest future planned reservation, or "pin to
-    ///   every tick" when a matured reservation could not actually be
-    ///   allocated (estimates overran: the plan's phantom free nodes
-    ///   shift with `now`, so no sound bound exists).
+    /// * conservative — the earlier of the decided prefix's next
+    ///   reservation and the planner's bound on every later start
+    ///   ([`PlanScratch::next_decision_time`]), or "pin to every tick"
+    ///   when a matured reservation could not actually be allocated
+    ///   (estimates overran: the plan's phantom free nodes shift with
+    ///   `now`, so no sound bound exists).
     decision_hint: Option<SimTime>,
     /// Free-capacity timeline over the running jobs' estimated ends, kept
     /// in lockstep with the engine via the start/complete notifications.
@@ -206,9 +208,11 @@ impl BuiltinScheduler {
 
     /// Conservative backfill: plan reservations in policy order, then
     /// start exactly those whose reserved time has come. The planner stops
-    /// once the rest of the queue can neither start now nor start before
-    /// the earliest future reservation, so the decided prefix it leaves
-    /// ([`PlanScratch::plan`]) answers both the placements and the hint.
+    /// once no job left can start by `now`, so the decided prefix it
+    /// leaves ([`PlanScratch::plan`]) holds every placement, and the hint
+    /// is the earlier of the prefix's next reservation and the bound the
+    /// planner keeps on every later start. That may come before any real
+    /// start; a call there places nothing.
     fn schedule_conservative(
         &mut self,
         now: SimTime,
@@ -250,7 +254,7 @@ impl BuiltinScheduler {
         self.decision_hint = if unallocatable_due {
             Some(now) // pin: no sound time bound until the plan settles
         } else {
-            next_planned_start(scratch.plan(), now)
+            scratch.next_decision_time(now)
         };
         self.plan = scratch;
     }

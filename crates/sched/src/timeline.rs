@@ -32,12 +32,12 @@
 //! [`backfill::easy_reservation`](crate::backfill::easy_reservation), and
 //! the conservative plan, entry for entry as far as it plans, to
 //! [`backfill::conservative_plan`](crate::backfill::conservative_plan)
-//! (it stops once the rest of the queue cannot change the call; see
+//! (it stops once no job left can start by `now`; see
 //! [`backfill::check_decided_prefix`](crate::backfill::check_decided_prefix)).
 //! The property tests in `tests/incremental.rs` pin both on random
 //! running/queue states.
 
-use crate::backfill::Reservation;
+use crate::backfill::{next_planned_start, Reservation};
 use crate::queue::QueuedJob;
 use crate::scheduler::RunningView;
 use serde::{Deserialize, Serialize};
@@ -168,9 +168,9 @@ impl CapacityTimeline {
     /// fixed — exactly
     /// [`backfill::conservative_plan`](crate::backfill::conservative_plan)
     /// (`SimTime::MAX` for jobs wider than the machine can ever free) for
-    /// every job it plans. It plans a prefix of the queue: only the jobs
-    /// due by `now` and the earliest future start matter to a call, and it
-    /// stops once the rest of the queue cannot change either.
+    /// every job it plans. It plans a prefix of the queue: a call places
+    /// only the jobs due by `now`, and it stops once no job left can start
+    /// by `now`, keeping a lower bound on when the rest can start instead.
     ///
     /// The free capacity is an explicit step profile: distinct breakpoint
     /// times (every estimated end, plus `now`) with the free nodes holding
@@ -185,14 +185,16 @@ impl CapacityTimeline {
     /// the narrowest and as short as the shortest job left to plan. The
     /// phantom fits wherever one of them fits, and the profile only falls
     /// within a call, so none of them can start before the phantom's
-    /// earliest anchor. Once that anchor is at or past the earliest future
-    /// start planned so far, or there is none, no job left starts by `now`
-    /// or earlier than that start: planning stops, and the placements and
-    /// next decision time read off the prefix equal a full plan's. The
-    /// phantom only grows and the profile only falls, so its anchor only
-    /// moves later within a call: its search resumes from the last anchor,
-    /// and runs again only when the phantom grows or a reservation lowers
-    /// its window.
+    /// earliest anchor. Once that anchor is after `now`, or there is none,
+    /// no job left starts by `now`: planning stops, and the anchor is kept
+    /// as the bound ([`PlanScratch::bound`]; `SimTime::MAX` when the queue
+    /// ran out or no job left can ever start). The jobs due by `now` are
+    /// then the prefix's, and the earlier of the prefix's next start and
+    /// the bound is no later than a full plan's next start
+    /// ([`PlanScratch::next_decision_time`]). The phantom only grows and
+    /// the profile only falls, so its anchor only moves later within a
+    /// call: its search resumes from the last anchor, and runs again only
+    /// when the phantom grows or a reservation lowers its window.
     ///
     /// The profile lives in `scratch` (read the result via
     /// [`PlanScratch::plan`]), so steady-state calls allocate nothing.
@@ -210,6 +212,7 @@ impl CapacityTimeline {
             floors,
             rest,
             plan,
+            bound,
         } = scratch;
         // All estimates maturing at an instant release together, and
         // `now` is a candidate start even when nothing releases then.
@@ -241,12 +244,12 @@ impl CapacityTimeline {
         }));
         floors.clear();
         plan.clear();
-        // The earliest future start planned so far; the phantom last
-        // searched for, and its earliest anchor then. A reservation can
-        // move that anchor only if it lowers the phantom's window.
-        let mut next = SimTime::MAX;
+        *bound = SimTime::MAX;
+        // The phantom last searched for, and its earliest anchor then. A
+        // reservation can move that anchor only if it lowers the phantom's
+        // window.
         let mut searched = None;
-        let mut bound = times[0];
+        let mut anchor = times[0];
         let mut sweeps = 0u64;
         for (job, &phantom) in queue.iter().zip(rest.iter().rev()) {
             let (nodes, estimate) = phantom;
@@ -254,15 +257,16 @@ impl CapacityTimeline {
                 break;
             }
             if searched != Some(phantom) {
-                let from = times.partition_point(|&t| t < bound);
+                let from = times.partition_point(|&t| t < anchor);
                 let Some((i, _)) = earliest_anchor(times, free, from, nodes as i64, estimate)
                 else {
                     break;
                 };
-                bound = times[i];
+                anchor = times[i];
                 searched = Some(phantom);
             }
-            if bound >= next {
+            if anchor > now {
+                *bound = anchor;
                 break;
             }
             if job.nodes > total_nodes {
@@ -285,9 +289,9 @@ impl CapacityTimeline {
                             times.insert(j, end);
                             free.insert(j, free[j - 1] + need);
                         }
-                        // Every start is at or past `bound`; one past the
+                        // Every start is at or past `anchor`; one past the
                         // phantom's window leaves its anchor where it is.
-                        if times[i] == bound || times[i] < bound + estimate {
+                        if times[i] == anchor || times[i] < anchor + estimate {
                             searched = None;
                         }
                     }
@@ -295,9 +299,6 @@ impl CapacityTimeline {
                 }
             };
             *floor = start;
-            if start > now {
-                next = next.min(start);
-            }
             plan.push(start);
         }
         sraps_obs::add(sraps_obs::Counter::SchedAnchorSweeps, sweeps);
@@ -334,8 +335,8 @@ fn earliest_anchor(
 
 /// Reusable buffers for [`CapacityTimeline::plan_conservative`]: the
 /// per-call capacity profile, class floors, phantom widths and estimates,
-/// and resulting plan, retained across scheduler invocations so the
-/// conservative hot path stops allocating.
+/// and resulting plan and bound, retained across scheduler invocations so
+/// the conservative hot path stops allocating.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Distinct breakpoint times, ascending.
@@ -357,6 +358,10 @@ pub struct PlanScratch {
     /// One planned start per queue entry of the decided prefix, in queue
     /// order.
     plan: Vec<SimTime>,
+    /// The phantom's earliest anchor where planning stopped: after `now`,
+    /// and no later than any start left unplanned. `SimTime::MAX` when
+    /// nothing is left unplanned that can ever start.
+    bound: SimTime,
 }
 
 impl PlanScratch {
@@ -367,13 +372,31 @@ impl PlanScratch {
     /// The decided prefix of the last `plan_conservative` call: one
     /// planned start per queue entry up to where planning stopped, each
     /// equal to [`backfill::conservative_plan`](crate::backfill::conservative_plan)'s
-    /// entry. Every job past it would plan to `SimTime::MAX`, or after
-    /// `now` and no earlier than the prefix's
-    /// [`next_planned_start`](crate::backfill::next_planned_start); so
-    /// the jobs due by `now` and the next decision time read off the
-    /// prefix are a full plan's.
+    /// entry. Every job past it would plan to `SimTime::MAX` or at or
+    /// after [`bound`](Self::bound), which is after `now`; so the jobs due
+    /// by `now` read off the prefix are a full plan's.
     pub fn plan(&self) -> &[SimTime] {
         &self.plan
+    }
+
+    /// The last call's bound: no job past [`plan`](Self::plan) can start
+    /// before it, and it is after that call's `now` (`SimTime::MAX` when
+    /// no job past the prefix can ever start).
+    pub fn bound(&self) -> SimTime {
+        self.bound
+    }
+
+    /// The conservative scheduler's next decision time after a plan at
+    /// `now`: the earlier of the prefix's [`next_planned_start`] and the
+    /// [`bound`](Self::bound), `None` when neither exists. It is after
+    /// `now` and no later than a full plan's next start, so the engine
+    /// still calls at every instant the full plan starts a job; a call at
+    /// a bound that precedes every real start places nothing.
+    pub fn next_decision_time(&self, now: SimTime) -> Option<SimTime> {
+        let next = next_planned_start(&self.plan, now)
+            .unwrap_or(SimTime::MAX)
+            .min(self.bound);
+        (next != SimTime::MAX).then_some(next)
     }
 }
 
@@ -459,26 +482,22 @@ mod tests {
         t.plan_conservative(&queue, now, 2, 16, &mut scratch);
         let full = backfill::conservative_plan(&queue, now, 2, 16, &running);
         assert_eq!(
-            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            backfill::check_decided_prefix(scratch.plan(), scratch.bound(), &full, now),
             Ok(())
         );
-        // After the third job the next start is t=60, and the one job left
-        // that fits the machine needs all 16 nodes, free from t=250 on.
-        assert_eq!(
-            scratch.plan().len(),
-            3,
-            "planning stops before the wide jobs"
-        );
+        // The second job takes the two nodes free now until t=60, so no
+        // job left, 2 nodes wide at the narrowest, can start before then.
+        assert_eq!(scratch.plan(), [100, 10].map(SimTime::seconds));
+        assert_eq!(scratch.bound(), SimTime::seconds(60));
     }
 
     #[test]
-    fn planning_stops_once_reservations_fill_the_gap() {
+    fn planning_stops_once_nothing_left_can_start_now() {
         // Two of four nodes run until t=100, and the wide head job takes
         // the whole machine from then. The two nodes free before t=100 fit
-        // two 50 s jobs. After those, no job left, not even the 10 s one
-        // at the tail, can start before t=50, the earliest future start:
-        // planning stops there, though the tail job was the phantom's
-        // estimate all along.
+        // a 50 s job now. After it, no job left, not even the 10 s one at
+        // the tail, can start before t=50: planning stops there, though
+        // the tail job was the phantom's estimate all along.
         let running = [view(1, 2, 100)];
         let t = timeline_of(&running);
         let mut queue = vec![qj(4, 100)];
@@ -489,10 +508,39 @@ mod tests {
         t.plan_conservative(&queue, now, 2, 4, &mut scratch);
         let full = backfill::conservative_plan(&queue, now, 2, 4, &running);
         assert_eq!(
-            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            backfill::check_decided_prefix(scratch.plan(), scratch.bound(), &full, now),
             Ok(())
         );
-        assert_eq!(scratch.plan(), [100, 0, 50].map(SimTime::seconds));
+        assert_eq!(scratch.plan(), [100, 0].map(SimTime::seconds));
+        assert_eq!(scratch.bound(), SimTime::seconds(50));
+    }
+
+    #[test]
+    fn hint_comes_from_the_bound_when_a_later_job_starts_first() {
+        // One of four nodes is free now, one more at t=50 and two at
+        // t=200. The wide head reserves the machine at t=200 and a 1-node
+        // job takes the free node until t=40. Planning stops there with
+        // the prefix's next start at t=200, but the next job, 2 nodes
+        // wide, starts at t=50: the hint must be the bound, not the
+        // prefix's next start.
+        let running = [view(1, 1, 50), view(2, 2, 200)];
+        let t = timeline_of(&running);
+        let queue = vec![qj(4, 100), qj(1, 40), qj(2, 100)];
+        let mut scratch = PlanScratch::new();
+        let now = SimTime::ZERO;
+        t.plan_conservative(&queue, now, 1, 4, &mut scratch);
+        let full = backfill::conservative_plan(&queue, now, 1, 4, &running);
+        assert_eq!(full, [200, 0, 50].map(SimTime::seconds));
+        assert_eq!(
+            backfill::check_decided_prefix(scratch.plan(), scratch.bound(), &full, now),
+            Ok(())
+        );
+        assert_eq!(scratch.plan(), [200, 0].map(SimTime::seconds));
+        assert_eq!(
+            backfill::next_planned_start(scratch.plan(), now),
+            Some(SimTime::seconds(200))
+        );
+        assert_eq!(scratch.next_decision_time(now), Some(SimTime::seconds(50)));
     }
 
     #[test]
@@ -509,7 +557,7 @@ mod tests {
         t.plan_conservative(&queue, now, 11, 16, &mut scratch);
         let full = backfill::conservative_plan(&queue, now, 11, 16, &running);
         assert_eq!(
-            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            backfill::check_decided_prefix(scratch.plan(), scratch.bound(), &full, now),
             Ok(())
         );
         assert_eq!(scratch.plan()[0], now, "headroom jobs start immediately");
@@ -527,7 +575,7 @@ mod tests {
         t.plan_conservative(&queue, now, 0, 8, &mut scratch);
         let full = backfill::conservative_plan(&queue, now, 0, 8, &running);
         assert_eq!(
-            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            backfill::check_decided_prefix(scratch.plan(), scratch.bound(), &full, now),
             Ok(())
         );
         assert_eq!(scratch.plan()[0], SimTime::seconds(50), "phantom release");
@@ -548,7 +596,7 @@ mod tests {
         t.plan_conservative(&queue, now, 6, 16, &mut scratch);
         let full = backfill::conservative_plan(&queue, now, 6, 16, &running);
         assert_eq!(
-            backfill::check_decided_prefix(scratch.plan(), &full, now),
+            backfill::check_decided_prefix(scratch.plan(), scratch.bound(), &full, now),
             Ok(())
         );
         assert_eq!(scratch.plan()[1], SimTime::seconds(200));

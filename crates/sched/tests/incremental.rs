@@ -8,14 +8,17 @@
 //! * the timeline-backed conservative plan is a decided prefix of the
 //!   from-scratch plan on random running/queue states
 //!   ([`check_decided_prefix`]): equal entry for entry as far as it goes,
-//!   and every later job would start never, or after `now` and no
-//!   earlier than the prefix's next start.
+//!   with a bound after `now` that no later job starts before; and the
+//!   hint it gives the engine is after `now` and no later than the
+//!   from-scratch plan's next start ([`check_hint`]).
 //!
 //! These are the oracles that let the engine swap the per-call rebuilds
 //! for incremental state without risking the bit-parity claim.
 
 use proptest::prelude::*;
-use sraps_sched::backfill::{check_decided_prefix, conservative_plan, easy_reservation};
+use sraps_sched::backfill::{
+    check_decided_prefix, conservative_plan, easy_reservation, next_planned_start,
+};
 use sraps_sched::{
     CapacityTimeline, JobQueue, OrderStamp, PlanScratch, PolicyKind, QueuedJob, RunningView,
 };
@@ -37,6 +40,22 @@ fn qj(id: u64, submit: i64, nodes: u32, est: i64, prio: f64) -> QueuedJob {
 
 fn ids(q: &JobQueue) -> Vec<u64> {
     q.jobs().iter().map(|j| j.id.0).collect()
+}
+
+/// Whether the hint a plan gives the engine
+/// ([`PlanScratch::next_decision_time`]) is after `now` and no later than
+/// the next start of `full`, the whole plan: the engine then calls at
+/// every instant the full plan starts a job.
+fn check_hint(scratch: &PlanScratch, full: &[SimTime], now: SimTime) -> Result<(), String> {
+    let hint = scratch.next_decision_time(now);
+    let next = next_planned_start(full, now);
+    if hint.is_some_and(|h| h <= now) || hint.unwrap_or(SimTime::MAX) > next.unwrap_or(SimTime::MAX)
+    {
+        return Err(format!(
+            "hint {hint:?} at now {now:?}, full plan's next start {next:?}"
+        ));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -165,11 +184,13 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        let first = scratch.plan().to_vec();
-        prop_assert_eq!(check_decided_prefix(&first, &reference, now), Ok(()));
+        let (first, bound) = (scratch.plan().to_vec(), scratch.bound());
+        prop_assert_eq!(check_decided_prefix(&first, bound, &reference, now), Ok(()));
+        prop_assert_eq!(check_hint(&scratch, &reference, now), Ok(()));
         // Scratch reuse across calls must not leak state between plans.
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         prop_assert_eq!(scratch.plan(), first.as_slice());
+        prop_assert_eq!(scratch.bound(), bound);
     }
 
     /// High-headroom regime: generous free capacity and mostly-narrow
@@ -214,7 +235,11 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        prop_assert_eq!(check_decided_prefix(scratch.plan(), &reference, now), Ok(()));
+        prop_assert_eq!(
+            check_decided_prefix(scratch.plan(), scratch.bound(), &reference, now),
+            Ok(())
+        );
+        prop_assert_eq!(check_hint(&scratch, &reference, now), Ok(()));
     }
 
     /// Class-floor coverage: a saturated machine (little free, many
@@ -257,7 +282,11 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        prop_assert_eq!(check_decided_prefix(scratch.plan(), &reference, now), Ok(()));
+        prop_assert_eq!(
+            check_decided_prefix(scratch.plan(), scratch.bound(), &reference, now),
+            Ok(())
+        );
+        prop_assert_eq!(check_hint(&scratch, &reference, now), Ok(()));
     }
 
     /// Deep saturated queues: a hundred to three hundred jobs drawn from
@@ -300,6 +329,10 @@ proptest! {
         let mut scratch = PlanScratch::new();
         timeline.plan_conservative(&jobs, now, free, total, &mut scratch);
         let reference = conservative_plan(&jobs, now, free, total, &views);
-        prop_assert_eq!(check_decided_prefix(scratch.plan(), &reference, now), Ok(()));
+        prop_assert_eq!(
+            check_decided_prefix(scratch.plan(), scratch.bound(), &reference, now),
+            Ok(())
+        );
+        prop_assert_eq!(check_hint(&scratch, &reference, now), Ok(()));
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::error::{Result, SrapsError};
 use std::str::FromStr;
-use std::time::Duration;
 
 /// Read and parse the environment variable `var` as a `T`.
 ///
@@ -19,11 +18,6 @@ use std::time::Duration;
 /// * set but malformed (or not unicode) ⇒ `Err(SrapsError::Config)`
 pub fn parse_env<T: FromStr>(var: &str) -> Result<Option<T>> {
     parse_env_value(var, string_env(var)?.as_deref())
-}
-
-/// Read `var` as a millisecond count and wrap it in a [`Duration`].
-pub fn parse_env_ms(var: &str) -> Result<Option<Duration>> {
-    Ok(parse_env::<u64>(var)?.map(Duration::from_millis))
 }
 
 /// Read `var` as a plain string. Unset ⇒ `None`; set but not unicode is
@@ -57,6 +51,7 @@ pub fn parse_env_value<T: FromStr>(var: &str, value: Option<&str>) -> Result<Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn unset_is_none() {

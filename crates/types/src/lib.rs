@@ -21,7 +21,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use bitset::Bitset;
-pub use env::{parse_env, parse_env_ms, parse_env_value, string_env};
+pub use env::{parse_env, parse_env_value, string_env};
 pub use error::{Result, SrapsError};
 pub use job::{AccountId, Job, JobId, JobIdHasher, JobIdMap, JobState, UserId};
 pub use node::{NodeId, NodeSet};
