@@ -258,14 +258,14 @@ pub struct Engine {
     jobs: Arc<Vec<Job>>,
     /// `JobId` → index in `jobs`; touched once per placement, never in
     /// the per-tick loops.
-    job_index: Arc<HashMap<JobId, usize>>,
+    job_index: Arc<JobIdMap<usize>>,
     /// Not-yet-submitted jobs (indices into `jobs`), ascending by submit.
     pending: Arc<Vec<usize>>,
     next_pending: usize,
     active: Vec<Active>,
     /// Position of each active job in `active`, so a completion popped
     /// from the heap removes in O(1) after the O(log n) pop.
-    active_pos: HashMap<JobId, usize>,
+    active_pos: JobIdMap<usize>,
     /// Min-heap of (actual_end, id): the completion side of the event
     /// horizon, replacing the O(active) scan per tick.
     completions: BinaryHeap<Reverse<(SimTime, JobId)>>,
@@ -321,7 +321,7 @@ pub struct SimWindow {
     /// All in-window jobs; `Active::job` and `pending` index into this.
     jobs: Arc<Vec<Job>>,
     /// `JobId` → index in `jobs`.
-    job_index: Arc<HashMap<JobId, usize>>,
+    job_index: Arc<JobIdMap<usize>>,
     /// Not-yet-submitted jobs, ascending by (submit, id).
     pending: Arc<Vec<usize>>,
     /// Jobs mid-run at the window start (dataset order) — prepopulation
@@ -351,7 +351,7 @@ impl SimWindow {
             .jobs_in_window(sim_start, sim_end)
             .cloned()
             .collect();
-        let mut job_index = HashMap::with_capacity(jobs.len());
+        let mut job_index = JobIdMap::with_capacity_and_hasher(jobs.len(), Default::default());
         let mut pending: Vec<usize> = Vec::with_capacity(jobs.len());
         let mut prepop = Vec::new();
         for (idx, job) in jobs.iter().enumerate() {
@@ -508,7 +508,7 @@ impl Engine {
             pending: Arc::clone(&window.pending),
             next_pending: 0,
             active: Vec::new(),
-            active_pos: HashMap::new(),
+            active_pos: JobIdMap::default(),
             completions: BinaryHeap::new(),
             running: Vec::new(),
             power_estimates,
@@ -1461,7 +1461,6 @@ impl Engine {
             utilization: self.util_hist,
             queue_depth: self.queue_hist,
             queue_demand_nodes: self.queue_demand_hist,
-            users: sraps_acct::Users::from_outcomes(&self.outcomes),
             outcomes: self.outcomes,
             stats,
             accounts: self.accounts,

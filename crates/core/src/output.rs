@@ -3,7 +3,7 @@
 //! `cooling_model.parquet`, `job_history.csv`, `stats.out`,
 //! `accounts.json`).
 
-use sraps_acct::{Accounts, JobOutcome, SystemStats, Users};
+use sraps_acct::{Accounts, JobOutcome, SystemStats};
 use sraps_cooling::CoolingSample;
 use sraps_power::PowerSample;
 use sraps_sched::SchedulerStats;
@@ -31,8 +31,6 @@ pub struct SimOutput {
     pub outcomes: Vec<JobOutcome>,
     pub stats: SystemStats,
     pub accounts: Accounts,
-    /// Per-user statistics over the completed jobs.
-    pub users: Users,
     pub sched_stats: SchedulerStats,
     /// Wall-clock cost of the run.
     pub wall_time: std::time::Duration,
@@ -213,7 +211,6 @@ mod tests {
             outcomes: vec![],
             stats: SystemStats::default(),
             accounts: Accounts::new(1.0),
-            users: Users::new(),
             sched_stats: SchedulerStats::default(),
             wall_time: std::time::Duration::from_millis(500),
             sim_span: SimDuration::seconds(180),

@@ -4,22 +4,28 @@
 //! The cell cache already dedupes *results* — atomic write-back means
 //! two workers racing the same key at worst install identical bytes.
 //! What it cannot prevent is both workers *simulating* the cell. A
-//! [`ClaimSet`] closes that gap with a lease file beside each cache
-//! entry:
+//! [`ClaimSet`] closes that gap with a claim beside each cache entry,
+//! each claim a hard link to the set's one lease file:
 //!
 //! ```text
-//! <dir>/<32-hex-key>.claim    { owner, pid, heartbeat_ms }
+//! <dir>/.<owner>.lease        { owner, pid, heartbeat_ms }
+//! <dir>/<32-hex-key>.claim    hard link to the lease
 //! ```
 //!
 //! Protocol:
 //!
-//! * **Acquire** — `O_EXCL` (`create_new`) on the claim path. Exclusive
-//!   creation is the only primitive that picks a single winner among
-//!   racing processes; rename-then-read-back would let two workers both
-//!   observe themselves as owner.
-//! * **Heartbeat** — a background thread rewrites every held claim
-//!   (temp file + rename, so readers never see a torn claim) every
-//!   TTL/4, proving the owner is alive.
+//! * **Lease** — a set writes its lease on its first acquire and starts
+//!   a heartbeat thread then, so a set that never acquires (a warm pass)
+//!   creates no file and no thread. Every TTL/4 the heartbeat rewrites
+//!   the lease body in place, proving the owner is alive; every claim
+//!   the set holds is another name for the lease, so one write refreshes
+//!   them all. The heartbeat never writes a claim path, so a stalled
+//!   former owner cannot overwrite its successor's claim.
+//! * **Acquire** — `link(lease, claim)`. Like `O_EXCL`, a hard link only
+//!   lands on a free path, so exactly one of N racing processes wins (it
+//!   is the classic NFS lock primitive); rename-then-read-back would let
+//!   two workers both observe themselves as owner. A claimed cell
+//!   creates no inode of its own.
 //! * **Skip** — a live foreign lease means another worker is simulating
 //!   the cell; callers defer the cell and poll for the cache entry
 //!   instead of blocking a worker thread on it.
@@ -28,24 +34,32 @@
 //!   dead or wedged worker. After a jittered confirmation pause the
 //!   claimant `rename`s the stale claim to a unique tombstone — rename
 //!   is atomic, so exactly one of N racing reclaimers succeeds — and
-//!   retries the exclusive create. Corrupt or torn claim files (a worker
-//!   killed mid-install) are stale once their mtime ages past the TTL.
-//! * **Release** — the lease file is removed on completion (or drop).
+//!   retries the link. The reclaimer that removes the last claim linking
+//!   a stale lease removes the lease too (its name follows from the
+//!   owner id in its body). Corrupt or torn claim files (a worker killed
+//!   mid-write) are stale once their mtime ages past the TTL.
+//! * **Release** — the claim link is removed on completion (or drop).
 //!   Release verifies ownership first so a worker whose lease was
 //!   reclaimed while it was wedged cannot delete the new owner's claim.
+//!   Dropping the set, and [`release_all_live`] (the drain and interrupt
+//!   path), remove the lease as well. A `kill -9`'d process leaves its
+//!   lease behind: for the reclaimers when it held claims, as a dot-file
+//!   nobody reads when it held none.
 //!
 //! Everything assumes claim files live on one filesystem shared by the
-//! cooperating processes (the `SRAPS_CACHE_DIR` partition), which also
-//! gives all workers one clock domain for TTL arithmetic in the common
-//! single-host case; across hosts, keep the TTL generously above any
-//! plausible clock skew.
+//! cooperating processes (the `SRAPS_CACHE_DIR` partition) that supports
+//! hard links, as it must support atomic rename for the cache entries.
+//! One filesystem also gives all workers one clock domain for TTL
+//! arithmetic in the common single-host case; across hosts, keep the TTL
+//! generously above any plausible clock skew.
 
 use crate::faults::splitmix64;
 use serde::{Deserialize, Serialize};
 use sraps_obs::Counter;
 use sraps_types::{fsio, Result, SrapsError};
 use std::collections::HashSet;
-use std::io::Write;
+use std::fs::File;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -59,7 +73,7 @@ static LIVE: Mutex<Vec<Weak<Shared>>> = Mutex::new(Vec::new());
 pub const DEFAULT_TTL: Duration = Duration::from_secs(30);
 /// Default base poll/backoff interval for contended cells.
 pub const DEFAULT_POLL: Duration = Duration::from_millis(25);
-/// The heartbeat refreshes held claims every TTL/4, but never more often
+/// The heartbeat refreshes the lease every TTL/4, but never more often
 /// than this.
 const HEARTBEAT_FLOOR: Duration = Duration::from_millis(5);
 /// The shortest TTL the heartbeat keeps a live lease fresh under: below
@@ -67,9 +81,10 @@ const HEARTBEAT_FLOOR: Duration = Duration::from_millis(5);
 /// heartbeats and a peer reclaims it and simulates the cell again.
 pub const MIN_TTL: Duration = Duration::from_millis(20);
 
-/// On-disk claim body. Readers only trust `heartbeat_ms` (and the file
-/// mtime when the JSON is torn); `owner`/`pid` are for ownership checks
-/// and post-mortem diagnostics.
+/// On-disk lease body, read through any claim linking the lease. Readers
+/// only trust `heartbeat_ms` (and the file mtime when the JSON is torn);
+/// `owner`/`pid` are for ownership checks, for finding a reclaimed
+/// owner's lease, and for post-mortem diagnostics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ClaimFile {
     owner: String,
@@ -99,9 +114,14 @@ enum ClaimState {
 struct Shared {
     dir: PathBuf,
     owner: String,
+    /// `<dir>/.<owner>.lease`, which every claim this set holds links.
+    lease_path: PathBuf,
     ttl: Duration,
     poll: Duration,
     held: Mutex<HashSet<String>>,
+    /// The open lease, written on the first acquire; `None` before it
+    /// and after [`Shared::release_all`] removed it.
+    lease: Mutex<Option<File>>,
     stop: Mutex<bool>,
     wake: Condvar,
 }
@@ -122,6 +142,30 @@ fn fnv64(s: &str) -> u64 {
     h
 }
 
+fn lease_path(dir: &Path, owner: &str) -> PathBuf {
+    dir.join(format!(".{owner}.lease"))
+}
+
+fn read_claim(path: &Path) -> Option<ClaimFile> {
+    let text = std::fs::read_to_string(path).ok()?;
+    serde_json::from_str(&text).ok()
+}
+
+/// Whether `lease` is the same file as the removed `tomb` (whose
+/// identity `tomb_meta` recorded) and no claim links it any more.
+#[cfg(unix)]
+fn orphaned(lease: &Path, tomb_meta: &std::fs::Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    lease
+        .metadata()
+        .is_ok_and(|m| m.nlink() == 1 && m.ino() == tomb_meta.ino() && m.dev() == tomb_meta.dev())
+}
+
+#[cfg(not(unix))]
+fn orphaned(_lease: &Path, _tomb_meta: &std::fs::Metadata) -> bool {
+    false
+}
+
 impl Shared {
     fn claim_path(&self, key: &str) -> PathBuf {
         self.dir.join(format!("{key}.claim"))
@@ -136,8 +180,47 @@ impl Shared {
         .expect("claim body serializes")
     }
 
+    /// Write a fresh lease into `slot` at `lease_path`. A lease another
+    /// thread of this set restored first is kept.
+    fn write_lease(&self, slot: &mut Option<File>) -> Result<()> {
+        let path = &self.lease_path;
+        let body = self.claim_body();
+        let mut file = match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(path)
+        {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists && slot.is_some() => {
+                return Ok(())
+            }
+            Err(e) => {
+                return Err(SrapsError::Io(format!(
+                    "create lease {}: {e}",
+                    path.display()
+                )))
+            }
+        };
+        if let Err(e) = file.write_all(body.as_bytes()) {
+            drop(file);
+            let _ = std::fs::remove_file(path);
+            return Err(SrapsError::Io(format!(
+                "write lease {}: {e}",
+                path.display()
+            )));
+        }
+        *slot = Some(file);
+        Ok(())
+    }
+
+    fn remove_lease(&self) {
+        if self.lease.lock().unwrap().take().is_some() {
+            let _ = std::fs::remove_file(&self.lease_path);
+        }
+    }
+
     /// Classify the claim at `path` without trusting its integrity: a
-    /// torn or unparseable body (worker killed mid-install) falls back
+    /// torn or unparseable body (worker killed mid-write) falls back
     /// to file-mtime aging so it cannot wedge the cell forever.
     fn read_state(&self, path: &Path) -> ClaimState {
         let ttl_ms = self.ttl.as_millis() as u64;
@@ -166,10 +249,7 @@ impl Shared {
 
     /// Whether the claim at `path` currently names this process as owner.
     fn owned_by_us(&self, path: &Path) -> bool {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|t| serde_json::from_str::<ClaimFile>(&t).ok())
-            .is_some_and(|c| c.owner == self.owner)
+        read_claim(path).is_some_and(|c| c.owner == self.owner)
     }
 
     fn release(&self, key: &str) {
@@ -182,7 +262,8 @@ impl Shared {
         }
     }
 
-    /// Release every lease this set still holds (interrupt/drain path).
+    /// Release every lease this set still holds, then remove the lease
+    /// file (interrupt/drain path; a later acquire writes a new one).
     /// Returns how many claim files were actually removed.
     fn release_all(&self) -> usize {
         let keys: Vec<String> = std::mem::take(&mut *self.held.lock().unwrap())
@@ -195,14 +276,31 @@ impl Shared {
                 removed += 1;
             }
         }
+        self.remove_lease();
         removed
+    }
+
+    /// Remove `tomb`, a reclaimed stale claim, and its owner's lease when
+    /// no claim links that lease any more. Each reclaimer checks after
+    /// its own removal, so of two burying the last claims of one lease,
+    /// the later one sees the lease orphaned.
+    fn bury(&self, tomb: &Path) {
+        let lease = read_claim(tomb).map(|c| lease_path(&self.dir, &c.owner));
+        let meta = tomb.metadata();
+        let _ = std::fs::remove_file(tomb);
+        if let (Some(lease), Ok(meta)) = (lease, meta) {
+            if orphaned(&lease, &meta) {
+                let _ = std::fs::remove_file(&lease);
+            }
+        }
     }
 }
 
-/// Release every lease held by every live [`ClaimSet`] in this process.
-/// Safe to call from a drain path at any time: later `Lease::release`
-/// calls become no-ops (the ownership check sees the file gone or
-/// re-owned). Returns the number of claim files removed.
+/// Release every lease held by every live [`ClaimSet`] in this process
+/// and remove their lease files. Safe to call from a drain path at any
+/// time: later `Lease::release` calls become no-ops (the ownership check
+/// sees the file gone or re-owned). Returns the number of claim files
+/// removed.
 pub fn release_all_live() -> usize {
     let mut live = LIVE.lock().unwrap();
     let mut removed = 0;
@@ -216,8 +314,9 @@ pub fn release_all_live() -> usize {
     removed
 }
 
-/// Arm the SIGINT/SIGTERM latch and spawn a watcher that, on the first
-/// signal, releases every live claim lease and exits 130. Idempotent.
+/// Arm the SIGINT/SIGTERM latch and spawn a watcher that blocks until
+/// the first signal, then releases every live claim lease and exits 130.
+/// Idempotent.
 ///
 /// This is the `sraps sweep` shutdown path: a ctrl-c'd sweep must not
 /// leave `.claim` files for peers to wait a full TTL on. The resident
@@ -231,23 +330,22 @@ pub fn install_interrupt_release() {
     sraps_types::signals::arm();
     let _ = std::thread::Builder::new()
         .name("sraps-interrupt-release".into())
-        .spawn(|| loop {
-            if sraps_types::signals::requested() {
-                let removed = release_all_live();
-                eprintln!("sraps: interrupted — released {removed} claim lease(s)");
-                std::process::exit(130);
-            }
-            std::thread::sleep(Duration::from_millis(25));
+        .spawn(|| {
+            sraps_types::signals::wait();
+            let removed = release_all_live();
+            eprintln!("sraps: interrupted — released {removed} claim lease(s)");
+            std::process::exit(130);
         });
 }
 
 /// Handle on the claim namespace of one cache directory. Dropping the
-/// set stops the heartbeat thread; leases still held keep their files
-/// (they will age out via the TTL), so prefer releasing every lease
-/// before the set goes away.
+/// set stops the heartbeat thread and removes the lease file; claims
+/// still held keep their links to it (they will age out via the TTL),
+/// so prefer releasing every lease before the set goes away.
 pub struct ClaimSet {
     shared: Arc<Shared>,
-    heartbeat: Option<std::thread::JoinHandle<()>>,
+    /// Started with the lease, on the first acquire.
+    heartbeat: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 /// An acquired cell lease. Released on [`Lease::release`] or drop.
@@ -299,6 +397,7 @@ impl ClaimSet {
     }
 
     /// Open with explicit knobs (tests shrink the TTL to milliseconds).
+    /// Creates the directory, but no file in it and no thread.
     pub fn open_with(dir: impl Into<PathBuf>, ttl: Duration, poll: Duration) -> Result<ClaimSet> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
@@ -311,25 +410,20 @@ impl ClaimSet {
         let seq = OWNER_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let owner = format!("{}:{:x}:{seq}", std::process::id(), now_ms());
         let shared = Arc::new(Shared {
+            lease_path: lease_path(&dir, &owner),
             dir,
             owner,
             ttl: ttl.max(Duration::from_millis(1)),
             poll: poll.max(Duration::from_millis(1)),
             held: Mutex::new(HashSet::new()),
+            lease: Mutex::new(None),
             stop: Mutex::new(false),
             wake: Condvar::new(),
         });
-        let heartbeat = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sraps-claim-heartbeat".into())
-                .spawn(move || heartbeat_loop(&shared))
-                .map_err(|e| SrapsError::Io(format!("spawn heartbeat thread: {e}")))?
-        };
         LIVE.lock().unwrap().push(Arc::downgrade(&shared));
         Ok(ClaimSet {
             shared,
-            heartbeat: Some(heartbeat),
+            heartbeat: Mutex::new(None),
         })
     }
 
@@ -362,27 +456,37 @@ impl ClaimSet {
         Duration::from_millis(base + h % base.max(1))
     }
 
-    /// One claim attempt for `key`: exclusive-create, or classify the
-    /// incumbent and — when it is stale — race to reclaim it. Never
-    /// blocks on a live lease.
+    /// Write the lease and start its heartbeat, unless they exist.
+    fn ensure_lease(&self) -> Result<()> {
+        let mut slot = self.shared.lease.lock().unwrap();
+        if slot.is_some() {
+            return Ok(());
+        }
+        self.shared.write_lease(&mut slot)?;
+        let mut heartbeat = self.heartbeat.lock().unwrap();
+        if heartbeat.is_none() {
+            let shared = Arc::clone(&self.shared);
+            *heartbeat = Some(
+                std::thread::Builder::new()
+                    .name("sraps-claim-heartbeat".into())
+                    .spawn(move || heartbeat_loop(&shared))
+                    .map_err(|e| SrapsError::Io(format!("spawn heartbeat thread: {e}")))?,
+            );
+        }
+        Ok(())
+    }
+
+    /// One claim attempt for `key`: link the claim to the lease, or
+    /// classify the incumbent and — when it is stale — race to reclaim
+    /// it. Never blocks on a live lease.
     pub fn try_acquire(&self, key: &str) -> Result<ClaimOutcome> {
+        self.ensure_lease()?;
         let path = self.shared.claim_path(key);
-        // Two rounds: a reclaim loops back to the exclusive create once.
+        // Two rounds: a reclaim, or a lease restored after something
+        // removed it under this live set, loops back to the link once.
         for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    if let Err(e) = f.write_all(self.shared.claim_body().as_bytes()) {
-                        drop(f);
-                        let _ = std::fs::remove_file(&path);
-                        return Err(SrapsError::Io(format!(
-                            "write claim {}: {e}",
-                            path.display()
-                        )));
-                    }
+            match std::fs::hard_link(&self.shared.lease_path, &path) {
+                Ok(()) => {
                     self.shared.held.lock().unwrap().insert(key.to_string());
                     sraps_obs::bump(Counter::ClaimsAcquired);
                     return Ok(ClaimOutcome::Acquired(Lease {
@@ -393,7 +497,7 @@ impl ClaimSet {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                     match self.shared.read_state(&path) {
-                        ClaimState::Gone => continue, // released just now — retry create
+                        ClaimState::Gone => continue, // released just now — retry the link
                         ClaimState::Fresh => {
                             sraps_obs::bump(Counter::ClaimsContended);
                             return Ok(ClaimOutcome::Contended);
@@ -403,19 +507,27 @@ impl ClaimSet {
                                 sraps_obs::bump(Counter::ClaimsContended);
                                 return Ok(ClaimOutcome::Contended);
                             }
-                            // Reclaimed: loop back to the exclusive create.
+                            // Reclaimed: loop back to the link.
                         }
                     }
                 }
+                // The lease is gone: a drain released everything, or a
+                // reclaimer took this set for dead while it was stalled.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    self.shared
+                        .write_lease(&mut self.shared.lease.lock().unwrap())?;
+                }
                 Err(e) => {
                     return Err(SrapsError::Io(format!(
-                        "create claim {}: {e}",
-                        path.display()
+                        "link claim {} to lease {}: {e} (the cache directory must \
+                         support hard links)",
+                        path.display(),
+                        self.shared.lease_path.display()
                     )))
                 }
             }
         }
-        // Exclusive create lost twice in a row (heavy churn): defer.
+        // The link lost twice in a row (heavy churn): defer.
         sraps_obs::bump(Counter::ClaimsContended);
         Ok(ClaimOutcome::Contended)
     }
@@ -441,7 +553,7 @@ impl ClaimSet {
                 Ok(false)
             }
             Ok(()) => {
-                let _ = std::fs::remove_file(&tomb);
+                self.shared.bury(&tomb);
                 sraps_obs::bump(Counter::ClaimsStaleReclaimed);
                 Ok(true)
             }
@@ -459,9 +571,10 @@ impl Drop for ClaimSet {
     fn drop(&mut self) {
         *self.shared.stop.lock().unwrap() = true;
         self.shared.wake.notify_all();
-        if let Some(h) = self.heartbeat.take() {
+        if let Some(h) = self.heartbeat.get_mut().unwrap().take() {
             let _ = h.join();
         }
+        self.shared.remove_lease();
     }
 }
 
@@ -493,10 +606,10 @@ fn claim_knobs(ttl: Option<&str>, poll: Option<&str>) -> Result<(Duration, Durat
     Ok((ttl, poll))
 }
 
-/// Refresh every held claim at TTL/4 so live leases never age out.
-/// Refreshes go through temp+rename (readers never see a torn claim)
-/// and re-verify ownership first — a lease stolen while this process
-/// was wedged must not be clobbered back.
+/// Refresh the lease at TTL/4 so the claims linking it never age out.
+/// The body is rewritten in place, so no path changes: a claim that was
+/// reclaimed links its new owner's lease, which this thread never
+/// touches.
 fn heartbeat_loop(shared: &Shared) {
     let interval = (shared.ttl / 4).max(HEARTBEAT_FLOOR);
     let mut stop = shared.stop.lock().unwrap();
@@ -511,12 +624,13 @@ fn heartbeat_loop(shared: &Shared) {
         if *stop {
             return;
         }
-        let keys: Vec<String> = shared.held.lock().unwrap().iter().cloned().collect();
-        for key in keys {
-            let path = shared.claim_path(&key);
-            if shared.owned_by_us(&path) {
-                let _ = fsio::write_atomic(&path, shared.claim_body().as_bytes());
-            }
+        if let Some(lease) = shared.lease.lock().unwrap().as_mut() {
+            // Same length as the last body until the millisecond clock
+            // gains a digit; a longer body only extends the file.
+            let body = shared.claim_body();
+            let _ = lease
+                .seek(SeekFrom::Start(0))
+                .and_then(|_| lease.write_all(body.as_bytes()));
         }
     }
 }
@@ -533,6 +647,173 @@ mod tests {
 
     fn cleanup(set: &ClaimSet) {
         std::fs::remove_dir_all(&set.shared.dir).ok();
+    }
+
+    fn acquire(set: &ClaimSet, key: &str) -> Lease {
+        match set.try_acquire(key).unwrap() {
+            ClaimOutcome::Acquired(l) => l,
+            ClaimOutcome::Contended => panic!("uncontended key {key} must acquire"),
+        }
+    }
+
+    /// The names in `dir`, sorted.
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn write_dead_lease(dir: &Path, owner: &str) -> PathBuf {
+        let path = lease_path(dir, owner);
+        let body = serde_json::to_string(&ClaimFile {
+            owner: owner.into(),
+            pid: 1,
+            heartbeat_ms: 1,
+        })
+        .unwrap();
+        std::fs::write(&path, body).unwrap();
+        path
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn claims_are_hard_links_to_one_lease() {
+        use std::os::unix::fs::MetadataExt;
+        let set = temp_set("links", DEFAULT_TTL);
+        let held: Vec<Lease> = (0..3).map(|i| acquire(&set, &format!("l{i}"))).collect();
+        let lease = set.shared.lease_path.metadata().unwrap();
+        assert_eq!(lease.nlink(), 4, "the lease plus one link per claim");
+        for i in 0..3 {
+            let claim = set.claim_path(&format!("l{i}")).metadata().unwrap();
+            assert_eq!(
+                (claim.dev(), claim.ino()),
+                (lease.dev(), lease.ino()),
+                "claim l{i} is another name for the lease"
+            );
+        }
+        assert_eq!(entries(&set.shared.dir).len(), 4, "the lease and 3 claims");
+        drop(held);
+        assert_eq!(set.shared.lease_path.metadata().unwrap().nlink(), 1);
+        cleanup(&set);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_heartbeat_rewrites_the_lease_in_place_and_nothing_else() {
+        use std::os::unix::fs::MetadataExt;
+        // TTL 40 ms: a heartbeat every 10 ms.
+        let set = temp_set("inplace", Duration::from_millis(40));
+        let _held = [acquire(&set, "h0"), acquire(&set, "h1")];
+        // A foreign claim beside ours, which no heartbeat of ours may touch.
+        let foreign = serde_json::to_string(&ClaimFile {
+            owner: "other:1".into(),
+            pid: 1,
+            heartbeat_ms: now_ms(),
+        })
+        .unwrap();
+        std::fs::write(set.claim_path("f0"), foreign).unwrap();
+        let look = || -> Vec<(String, u64, SystemTime)> {
+            entries(&set.shared.dir)
+                .into_iter()
+                .map(|name| {
+                    let m = set.shared.dir.join(&name).metadata().unwrap();
+                    (name, m.ino(), m.modified().unwrap())
+                })
+                .collect()
+        };
+        let before = look();
+        std::thread::sleep(Duration::from_millis(60));
+        let after = look();
+        let names_inodes = |v: &[(String, u64, SystemTime)]| -> Vec<(String, u64)> {
+            v.iter().map(|(n, i, _)| (n.clone(), *i)).collect()
+        };
+        assert_eq!(
+            names_inodes(&before),
+            names_inodes(&after),
+            "a heartbeat creates, renames and removes no path"
+        );
+        let lease = set.shared.lease_path.metadata().unwrap().ino();
+        for ((name, ino, was), (_, _, now)) in before.iter().zip(&after) {
+            if *ino == lease {
+                assert!(now > was, "the heartbeat refreshed {name}");
+            } else {
+                assert_eq!(now, was, "the heartbeat touched {name}");
+            }
+        }
+        cleanup(&set);
+    }
+
+    #[test]
+    fn a_set_that_never_acquires_creates_nothing() {
+        let set = temp_set("idle", DEFAULT_TTL);
+        let dir = set.shared.dir.clone();
+        assert!(!set.backoff("k", 1).is_zero());
+        assert!(
+            entries(&dir).is_empty(),
+            "no lease before the first acquire"
+        );
+        assert!(
+            set.heartbeat.lock().unwrap().is_none(),
+            "no heartbeat thread before the first acquire"
+        );
+        drop(set);
+        assert!(entries(&dir).is_empty());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn clean_drops_and_release_all_leave_no_claim_and_no_lease() {
+        let set = temp_set("clean", DEFAULT_TTL);
+        let dir = set.shared.dir.clone();
+        let held = [acquire(&set, "c0"), acquire(&set, "c1")];
+        assert!(set.shared.lease_path.is_file());
+        assert_eq!(set.shared.release_all(), 2);
+        assert!(entries(&dir).is_empty(), "left: {:?}", entries(&dir));
+        drop(held);
+        // A later acquire writes a new lease; dropping the lease and the
+        // set removes the claim and the lease.
+        let again = acquire(&set, "c2");
+        assert!(set.shared.lease_path.is_file());
+        drop(again);
+        drop(set);
+        assert!(entries(&dir).is_empty(), "left: {:?}", entries(&dir));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_removed_lease_is_written_again_on_the_next_acquire() {
+        let set = temp_set("restore", DEFAULT_TTL);
+        let _first = acquire(&set, "r0");
+        std::fs::remove_file(&set.shared.lease_path).unwrap();
+        let _second = acquire(&set, "r1");
+        assert!(set.shared.lease_path.is_file());
+        assert!(set.shared.owned_by_us(&set.claim_path("r1")));
+        cleanup(&set);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn reclaiming_a_dead_owners_last_claim_removes_its_lease() {
+        let set = temp_set("bury", MIN_TTL);
+        let dir = set.shared.dir.clone();
+        let dead = write_dead_lease(&dir, "dead:1:0");
+        for key in ["d0", "d1"] {
+            std::fs::hard_link(&dead, set.claim_path(key)).unwrap();
+        }
+        let first = acquire(&set, "d0");
+        assert!(dead.is_file(), "d1 still links the dead lease");
+        let second = acquire(&set, "d1");
+        assert!(
+            !dead.exists(),
+            "the last claim's reclaimer removes the lease"
+        );
+        drop((first, second));
+        drop(set);
+        assert!(entries(&dir).is_empty(), "left: {:?}", entries(&dir));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -673,9 +954,9 @@ mod tests {
         )
         .unwrap();
         // Fabricate the on-disk state of a wedged worker: a claim owned
-        // by `set` whose heartbeat froze long ago. The key is not in
-        // `set.held`, so its heartbeat thread leaves it alone — which is
-        // exactly the wedged-owner scenario.
+        // by `set` whose heartbeat froze long ago. It links no lease of
+        // `set`'s, so no heartbeat refreshes it — which is exactly the
+        // wedged-owner scenario.
         let body = serde_json::to_string(&ClaimFile {
             owner: set.owner().to_string(),
             pid: std::process::id(),

@@ -96,24 +96,44 @@ impl JobQueue {
     /// Remove the queued entries whose ids are in `placed` (called by the
     /// engine after starting them). Removal preserves relative order, so
     /// the sorted prefix stays sorted; only its length shrinks.
+    ///
+    /// Builtin schedulers place jobs in queue order, so one walk with a
+    /// cursor into `placed` removes them all in O(queue). An id out of
+    /// queue order (an external scheduler's) or absent from the queue
+    /// holds the cursor; the ids from there on are removed by a scan.
     pub fn remove_placed(&mut self, placed: &[JobId]) {
         if placed.is_empty() {
             return;
         }
+        let mut next = 0;
+        self.retain_queued(|j| {
+            let hit = placed.get(next) == Some(&j.id);
+            next += usize::from(hit);
+            !hit
+        });
+        let rest = &placed[next..];
+        if !rest.is_empty() {
+            self.retain_queued(|j| !rest.contains(&j.id));
+        }
+    }
+
+    /// `Vec::retain` over the queue, keeping the node demand and the
+    /// sorted prefix's length in step.
+    fn retain_queued(&mut self, mut keep: impl FnMut(&QueuedJob) -> bool) {
         let demand = &mut self.demand_nodes;
         let sorted_len = self.sorted_len;
         let mut index = 0usize;
         let mut removed_sorted = 0usize;
         self.jobs.retain(|j| {
-            let keep = !placed.contains(&j.id);
-            if !keep {
+            let kept = keep(j);
+            if !kept {
                 *demand -= j.nodes as u64;
                 if index < sorted_len {
                     removed_sorted += 1;
                 }
             }
             index += 1;
-            keep
+            kept
         });
         self.sorted_len -= removed_sorted;
     }

@@ -41,8 +41,9 @@ use crate::backfill::{next_planned_start, Reservation};
 use crate::queue::QueuedJob;
 use crate::scheduler::RunningView;
 use serde::{Deserialize, Serialize};
-use sraps_types::{SimDuration, SimTime};
+use sraps_types::{JobIdHasher, SimDuration, SimTime};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Serializable image of a [`CapacityTimeline`] for engine snapshots.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -349,7 +350,7 @@ pub struct PlanScratch {
     /// changing it), so a start infeasible for a class stays infeasible:
     /// the class's earliest feasible anchor never moves earlier, and its
     /// next job's search starts here. `SimTime::MAX` once it never fits.
-    floors: HashMap<(u32, SimDuration), SimTime>,
+    floors: HashMap<(u32, SimDuration), SimTime, BuildHasherDefault<JobIdHasher>>,
     /// Per queue position, last position first, the narrowest width and
     /// the shortest estimate from there to the end of the queue among the
     /// jobs that fit the machine (`u32::MAX` wide when none does): the

@@ -81,16 +81,28 @@ proptest! {
                     q.push(qj(next_id, submit, nodes, est, prio as f64));
                     next_id += 1;
                 }
-                // remove up to two jobs that are still queued
+                // remove up to three queued jobs: in queue order (as the
+                // builtin schedulers place), out of it (as an external
+                // scheduler may), or beside an id the queue does not hold
                 5 | 6 => {
                     let present = ids(&q);
-                    let victims: Vec<JobId> = present
+                    let mut victims: Vec<JobId> = present
                         .iter()
                         .skip(submit as usize % (present.len().max(1)))
-                        .take(2)
+                        .take(2 + nodes as usize % 2)
                         .map(|&i| JobId(i))
                         .collect();
+                    match est % 3 {
+                        0 => {}
+                        1 => victims.reverse(),
+                        _ => victims.insert(nodes as usize % (victims.len() + 1), JobId(u64::MAX)),
+                    }
                     q.remove_placed(&victims);
+                    let kept: Vec<u64> = present
+                        .into_iter()
+                        .filter(|&i| !victims.contains(&JobId(i)))
+                        .collect();
+                    prop_assert_eq!(ids(&q), kept, "removing {:?}", victims);
                 }
                 // bump the key epoch (keys change identity)
                 7 => epoch += 1,

@@ -222,9 +222,11 @@ pub fn serve(cfg: ServeConfig) -> Result<()> {
         server.cfg.cache_dir.display()
     );
 
-    // Accept loop: non-blocking accept polled against the signal latch,
-    // so a drain request is observed within ~10 ms.
-    while !signals::requested() {
+    // Accept loop: sleep until a connection is pending or a shutdown is
+    // requested (the signal handler wakes the wait), so an idle daemon
+    // makes no wake-ups. The listener stays non-blocking: a connection
+    // reset between the wake and the accept must not block the loop.
+    while signals::wait_readable(&listener) {
         match listener.accept() {
             Ok((stream, peer)) => {
                 let srv = Arc::clone(&server);
@@ -240,9 +242,7 @@ pub fn serve(cfg: ServeConfig) -> Result<()> {
                         sraps_obs::flush_thread_trace();
                     });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) => {
                 eprintln!("serve: accept error: {e}");
                 std::thread::sleep(Duration::from_millis(10));
@@ -257,7 +257,12 @@ pub fn serve(cfg: ServeConfig) -> Result<()> {
 /// responses to be written, release claim leases, flush the obs trace.
 fn drain(server: &Arc<Server>, workers: Vec<std::thread::JoinHandle<()>>) -> Result<()> {
     let at_signal = server.in_flight.load(Ordering::SeqCst);
-    server.draining.store(true, Ordering::SeqCst);
+    // Set under the queue lock: a worker checks the flag under it before
+    // its untimed wait, so it either sees the flag or gets the notify.
+    {
+        let _queue = server.queue.lock().unwrap();
+        server.draining.store(true, Ordering::SeqCst);
+    }
     server.queue_cv.notify_all();
     if !server.cfg.quiet {
         eprintln!("serve: drain requested ({at_signal} request(s) in flight)");
@@ -300,11 +305,7 @@ fn worker_loop(server: &Arc<Server>) {
                 if server.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                q = server
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap()
-                    .0;
+                q = server.queue_cv.wait(q).unwrap();
             }
         };
         let Some(job) = job else { return };

@@ -200,6 +200,15 @@ fn killed_worker_is_reclaimed_and_the_matrix_completes() {
     );
     let (h, m) = hits_misses(&String::from_utf8_lossy(&out.stdout));
     assert_eq!(h + m, MATRIX_CELLS, "full matrix accounted for");
+    // Reclaiming the corpse's last claim removed its lease, and the
+    // restart removed its own at exit.
+    let left: Vec<_> = std::fs::read_dir(&cache)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "claim" || x == "lease"))
+        .collect();
+    assert!(left.is_empty(), "claims or leases left behind: {left:?}");
 
     assert_eq!(
         read(base.join("restart").join("sweep.csv")),
@@ -420,9 +429,16 @@ fn sigterm_mid_sweep_releases_claim_leases() {
     let leaked = std::fs::read_dir(&cache)
         .unwrap()
         .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "claim"))
+        .filter(|e| {
+            e.path()
+                .extension()
+                .is_some_and(|x| x == "claim" || x == "lease")
+        })
         .count();
-    assert_eq!(leaked, 0, "no claim file survives a SIGTERM'd sweep");
+    assert_eq!(
+        leaked, 0,
+        "no claim or lease file survives a SIGTERM'd sweep"
+    );
     std::fs::remove_dir_all(&base).ok();
 }
 

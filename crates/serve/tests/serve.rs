@@ -4,7 +4,7 @@
 //! pinned `serve: listening on ...` stdout line), speaks the NDJSON
 //! protocol over TCP, and shuts down with a real SIGTERM — asserting
 //! the drain contract every time: exit 0, a `serve: drained` line, and
-//! zero leaked `.claim` files in the shared cache directory.
+//! zero leaked `.claim` or `.lease` files in the shared cache directory.
 
 use sraps_serve::{Request, Response};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -23,14 +23,34 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Claim links and lease files in `cache`.
 fn claim_files(cache: &Path) -> usize {
     std::fs::read_dir(cache)
         .map(|d| {
             d.filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().is_some_and(|x| x == "claim"))
+                .filter(|e| {
+                    e.path()
+                        .extension()
+                        .is_some_and(|x| x == "claim" || x == "lease")
+                })
                 .count()
         })
         .unwrap_or(0)
+}
+
+/// Voluntary context switches summed over the threads of `pid`.
+#[cfg(target_os = "linux")]
+fn context_switches(pid: u32) -> u64 {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("task list readable")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("status")).ok())
+        .filter_map(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|v| v.trim().parse::<u64>().ok())
+        })
+        .sum()
 }
 
 /// A running daemon plus the stdout reader that watched it come up.
@@ -469,5 +489,31 @@ fn sigterm_finishes_in_flight_work_before_exiting() {
         resp.error
     );
     assert_eq!(claim_files(&cache), 0, "drain releases every claim lease");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_daemon_does_not_wake() {
+    let base = temp_dir("idle");
+    let cache = base.join("cache");
+    let daemon = Daemon::spawn(&cache, &["--workers", "2"], &[]);
+    // One cold answer first, so the claim heartbeat is running too.
+    let mut conn = Conn::open(&daemon.addr);
+    let cold = conn.send(&query("lassen", "fcfs", "easy"));
+    assert_eq!(cold.status, "ok", "{:?}", cold.error);
+    drop(conn);
+    // Let the connection thread see the hangup and exit.
+    std::thread::sleep(Duration::from_millis(200));
+    let pid = daemon.child.id();
+    let before = context_switches(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let switches = context_switches(pid).saturating_sub(before);
+    assert!(
+        switches < 10,
+        "an idle daemon's threads switched {switches} times in 1 s"
+    );
+    daemon.shutdown();
+    assert_eq!(claim_files(&cache), 0, "drain leaks no claim or lease");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -33,7 +33,8 @@ pub type JobIdMap<V> = HashMap<JobId, V, BuildHasherDefault<JobIdHasher>>;
 
 /// [`JobIdMap`]'s hasher: the FxHash step (rotate, xor, multiply) per
 /// written word, with the well-mixed high bits rotated down into the
-/// bucket index.
+/// bucket index. Fit for any key of small integers that no adversary
+/// picks (the conservative planner's `(nodes, estimate)` classes too).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct JobIdHasher(u64);
 
@@ -42,6 +43,10 @@ impl Hasher for JobIdHasher {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
     }
 
     fn write_u64(&mut self, word: u64) {

@@ -7,6 +7,7 @@
 //! cargo run --release -p sraps-examples --example custom_system
 //! ```
 
+use sraps_acct::Users;
 use sraps_core::{Engine, Outage, SimConfig};
 use sraps_data::synthetic::gen_wetbulb_trace;
 use sraps_data::{swf, WorkloadSpec};
@@ -109,8 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "user wait spread:  healthy {:.1}x vs degraded {:.1}x",
-        healthy.users.wait_spread(3),
-        degraded.users.wait_spread(3)
+        Users::from_outcomes(&healthy.outcomes).wait_spread(3),
+        Users::from_outcomes(&degraded.outcomes).wait_spread(3)
     );
     Ok(())
 }

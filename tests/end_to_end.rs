@@ -1,6 +1,7 @@
 //! End-to-end integration tests across the full stack: dataloaders →
 //! engine → scheduler → power/cooling → accounting.
 
+use sraps_acct::Users;
 use sraps_core::{Engine, SchedulerSelect, SimConfig};
 use sraps_data::{scenario, WorkloadSpec};
 use sraps_integration::{run, small_workload};
@@ -328,9 +329,10 @@ fn accounts_aggregate_across_simulations() {
 fn user_stats_cover_all_completed_jobs() {
     let (cfg, ds) = small_workload(0.6, 5, 59);
     let out = run(&cfg, &ds, "fcfs", "easy");
-    let total: u64 = out.users.stats.values().map(|u| u.jobs_completed).sum();
+    let users = Users::from_outcomes(&out.outcomes);
+    let total: u64 = users.stats.values().map(|u| u.jobs_completed).sum();
     assert_eq!(total, out.stats.jobs_completed);
-    assert!(out.users.wait_spread(1) >= 1.0);
+    assert!(users.wait_spread(1) >= 1.0);
 }
 
 #[test]
